@@ -37,11 +37,24 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
+// TestReportRenderGolden pins every report Suite.All renders, plus the
+// suite's two extension reports, so a change to the day loop or the
+// aggregation path cannot move a single byte of the paper's figures.
 func TestReportRenderGolden(t *testing.T) {
 	s := testSuite(t)
 	checkGolden(t, "catchments", s.Catchments(10).Render())
 	checkGolden(t, "figure7", s.Figure7().Render())
 	checkGolden(t, "figure3", s.Figure3().Render())
+	checkGolden(t, "figure1", s.Figure1().Render())
+	checkGolden(t, "cdn-table", CDNSizeTable().Render())
+	checkGolden(t, "figure2", s.Figure2().Render())
+	checkGolden(t, "figure4", s.Figure4().Render())
+	checkGolden(t, "figure5", s.Figure5().Render())
+	checkGolden(t, "figure6", s.Figure6().Render())
+	checkGolden(t, "figure8", s.Figure8().Render())
+	checkGolden(t, "figure9", s.Figure9().Render())
+	checkGolden(t, "tcp-disruption", s.TCPDisruption().Render())
+	checkGolden(t, "loadshedding", s.LoadShedding(4).Render())
 }
 
 // goldenScenario uses fixed targets from the default deployment so the
