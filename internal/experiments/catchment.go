@@ -18,16 +18,10 @@ import (
 // the operator-facing companion to Figure 4 — the same data viewed from
 // the server side — and quantifies the load imbalance §2 says anycast
 // cannot control ("anycast is unaware of server load").
-func (s *Suite) Catchments(topN int) Report {
-	agg := newCatchmentAgg(s.Res.World)
-	for c := s.Res.Passive.Cursor(); c.Next(); {
-		agg.observe(c.Record())
-	}
-	return agg.report(topN)
-}
+func (s *Suite) Catchments(topN int) Report { return s.stream.Catchments(topN) }
 
 // catchmentAgg accumulates per-front-end catchment statistics one passive
-// record at a time; Suite and StreamSuite share it.
+// record at a time.
 type catchmentAgg struct {
 	w           *sim.World
 	perFE       map[topology.SiteID]*catchmentFE

@@ -10,6 +10,8 @@ import (
 	"sort"
 
 	"anycastcdn/internal/beacon"
+	"anycastcdn/internal/bgp"
+	"anycastcdn/internal/logs"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/stats"
 	"anycastcdn/internal/topology"
@@ -54,12 +56,31 @@ func (r Report) Render() string {
 type Suite struct {
 	Res *sim.Result
 
+	// stream holds the passive-log reports, aggregated by the same
+	// StreamSuite a streaming run drives.
+	stream    *StreamSuite
 	dailyOnce bool
 	daily     [][]Comparison
 }
 
-// NewSuite wraps a simulation result.
-func NewSuite(res *sim.Result) *Suite { return &Suite{Res: res} }
+// NewSuite wraps a simulation result. It replays the result's passive log
+// and assignments into a StreamSuite one day at a time, in the order a
+// streaming run delivers them, so every passive-log report of a batch run
+// comes from the one aggregation path.
+func NewSuite(res *sim.Result) *Suite {
+	ss := NewStreamSuite(res.Cfg, res.World)
+	days := res.Cfg.Days
+	passive := make([]logs.DayRecord, len(res.Assignments))
+	assigns := make([]bgp.Assignment, len(res.Assignments))
+	for day := 0; day < days; day++ {
+		for i := range passive {
+			passive[i] = res.Passive.At(i*days + day)
+			assigns[i] = res.Assignments[i][day]
+		}
+		ss.observe(sim.DayResult{Day: day, Passive: passive, Assignments: assigns})
+	}
+	return &Suite{Res: res, stream: ss}
+}
 
 // Comparison is a per-(client, day) anycast-vs-best-unicast summary used
 // by Figures 5 and 6: the difference between the day's median anycast

@@ -258,18 +258,10 @@ func (s *Suite) Figure3() Report {
 // distance *past* the closest front-end, weighted and unweighted. Paper:
 // ~55% of clients go to the closest front-end; 75% within ~400 km of
 // closest; ~82% of clients (87% of volume) within 2000 km.
-func (s *Suite) Figure4() Report {
-	agg := newFigure4Agg(s.Res.Cfg, s.Res.World)
-	for c := s.Res.Passive.Cursor(); c.Next(); {
-		agg.observe(c.Record())
-	}
-	return agg.report()
-}
+func (s *Suite) Figure4() Report { return s.stream.Figure4() }
 
 // figure4Agg accumulates Figure 4's distance samples one passive record at
-// a time, so the batch Suite (cursor over the full log) and StreamSuite
-// (one day at a time) share the figure's code and produce byte-identical
-// reports. It looks only at day 0 with traffic — one day of production
+// a time. It looks only at day 0 with traffic — one day of production
 // logs, as in the paper.
 type figure4Agg struct {
 	w     *sim.World

@@ -135,16 +135,10 @@ const figure7Week = 7
 // fraction of clients that have changed front-ends at least once by each
 // day of a week starting Wednesday. Paper: 7% after the first day, +2-4%
 // per weekday, <0.5% on weekend days, 21% by week's end.
-func (s *Suite) Figure7() Report {
-	agg := newSwitchAgg(figure7Week, len(s.Res.World.Population.Clients))
-	for c := s.Res.Passive.Cursor(); c.Next(); {
-		agg.observe(c.Record())
-	}
-	return agg.report(s.Res.World.Router.Weekday)
-}
+func (s *Suite) Figure7() Report { return s.stream.Figure7() }
 
 // switchAgg accumulates Figure 7's cumulative-switch analysis one passive
-// record at a time; Suite and StreamSuite share it. It mirrors
+// record at a time. It mirrors
 // logs.CumulativeSwitched exactly — integer counting in dense arrays
 // indexed by client ID, so the result is independent of observation
 // order: clients with no traffic on a day don't count as active (the
@@ -248,16 +242,10 @@ const (
 // Figure8 reproduces the switch-distance analysis (§5): the CDF of the
 // change in client-to-front-end distance when the front-end changes.
 // Paper: median 483 km, 83% within 2000 km.
-func (s *Suite) Figure8() Report {
-	agg := newFig8Agg(s.Res.World.Deployment.Backbone)
-	for c := s.Res.Passive.Cursor(); c.Next(); {
-		agg.observe(c.Record())
-	}
-	return agg.report()
-}
+func (s *Suite) Figure8() Report { return s.stream.Figure8() }
 
 // fig8Agg accumulates switch distances into a constant-memory quantile
-// sketch; Suite and StreamSuite share it. Unweighted samples make the
+// sketch. Unweighted samples make the
 // sketch bit-identical regardless of observation order. The observability
 // filter matches logs.SwitchDistancesKm: a switch on a zero-query day has
 // no log row in a real passive log, so it is invisible to the figure —

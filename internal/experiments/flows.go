@@ -19,16 +19,10 @@ import (
 // of duration d overlaps it with probability min(1, d/86400) on a
 // switch day. The per-duration disruption probability is the client-day
 // average of that overlap.
-func (s *Suite) TCPDisruption() Report {
-	agg := newTCPAgg(len(s.Res.World.Population.Clients))
-	for c := s.Res.Passive.Cursor(); c.Next(); {
-		agg.observe(c.Record())
-	}
-	return agg.report()
-}
+func (s *Suite) TCPDisruption() Report { return s.stream.TCPDisruption() }
 
 // tcpAgg accumulates per-client switch-day and total-day counts one
-// passive record at a time; Suite and StreamSuite share it. Dense arrays
+// passive record at a time. Dense arrays
 // indexed by client ID (IDs are population indices): integer counters
 // make the report independent of observation order, and the fixed index
 // order is what lets the distributed merge bump counters from per-shard

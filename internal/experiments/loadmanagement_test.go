@@ -31,26 +31,6 @@ func TestLoadManagementReportGolden(t *testing.T) {
 	checkGolden(t, "loadmanagement", r.Render())
 }
 
-// TestLoadManagementBatchStreamIdentity pins the acceptance requirement
-// that the batch and streaming paths render byte-identical reports: the
-// batch path aggregates the materialized Result in the same day-major
-// record order the stream delivers, so even float accumulation matches.
-func TestLoadManagementBatchStreamIdentity(t *testing.T) {
-	cfg := testutil.SmallConfig(1)
-	sc := loadMgmtScenario(t)
-	batch, err := LoadManagement(cfg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := StreamLoadManagement(cfg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b, s := batch.Render(), stream.Render(); b != s {
-		t.Errorf("batch and stream reports differ:\n--- batch ---\n%s\n--- stream ---\n%s", b, s)
-	}
-}
-
 // TestLoadManagementAcceptance pins the paper-level outcome: under the
 // same flash crowd, static anycast overloads, naive withdrawal makes it
 // worse (cascading withdrawals, higher peak), and FastRoute spillover

@@ -18,19 +18,11 @@ import (
 // while a naive route withdrawal cascades (§2's warning). crowdFactor
 // scales the hot front-end's demand.
 func (s *Suite) LoadShedding(crowdFactor float64) Report {
-	agg := newLoadShedAgg()
-	for c := s.Res.Passive.Cursor(); c.Next(); {
-		r := c.Record()
-		if r.Day != 0 {
-			continue
-		}
-		agg.observe(r, s.Res.Assignments[r.ClientID][0].Ingress)
-	}
-	return agg.report(s.Res.World, crowdFactor)
+	return s.stream.LoadShedding(crowdFactor)
 }
 
 // loadShedAgg accumulates day-0 per-ingress query demand one passive
-// record at a time; Suite and StreamSuite share it. The caller supplies
+// record at a time. The caller supplies
 // each record's effective day-0 ingress alongside the record (the log
 // itself doesn't store ingresses).
 type loadShedAgg struct {
@@ -186,4 +178,3 @@ func topCapacityPerRegion(w *sim.World, caps map[topology.SiteID]float64, exclud
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-

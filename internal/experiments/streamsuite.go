@@ -4,13 +4,12 @@ import "anycastcdn/internal/sim"
 
 // StreamSuite computes the passive-log experiments online over a streaming
 // simulation: feed every sim.DayResult to Observe (or call Run) and read
-// the reports after the stream ends. It drives the same per-record
-// aggregators the batch Suite drives over a full Result, so the two
-// produce byte-identical reports — pinned by TestStreamSuiteMatchesSuite —
-// while the stream retains only the aggregators' state, never a day of
-// raw output. This is the analysis path for paper-scale runs (millions of
-// client /24s over a month) whose full measurement set would not fit in
-// memory.
+// the reports after the stream ends. The stream retains only the
+// aggregators' state, never a day of raw output, which makes it the
+// analysis path for paper-scale runs (millions of client /24s over a
+// month) whose full measurement set would not fit in memory. The batch
+// Suite replays a materialized Result into one, so both modes share every
+// line of the passive-log aggregation.
 //
 // The beacon-driven figures (5, 6, 9) need cross-day latency samples per
 // client and are not part of the streaming suite.
@@ -53,6 +52,11 @@ func NewStreamSuite(cfg sim.Config, w *sim.World) *StreamSuite {
 // aggregators before the callback returns, respecting the stream's
 // buffer-reuse contract.
 func (s *StreamSuite) Observe(d sim.DayResult) error {
+	s.observe(d)
+	return nil
+}
+
+func (s *StreamSuite) observe(d sim.DayResult) {
 	for i, r := range d.Passive {
 		s.fig4.observe(r)
 		s.cat.observe(r)
@@ -63,7 +67,6 @@ func (s *StreamSuite) Observe(d sim.DayResult) error {
 			s.shed.observe(r, d.Assignments[i].Ingress)
 		}
 	}
-	return nil
 }
 
 // Run streams the configured simulation over the world, feeding every day

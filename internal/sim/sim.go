@@ -55,9 +55,9 @@ type Config struct {
 	ISPs    *topology.ISPModelConfig
 	Mapper  *dns.MapperConfig
 	// Workers bounds simulation parallelism. 0 means GOMAXPROCS; Validate
-	// rejects negative values. RunWorld and StreamWorld share one worker
-	// pool (parallelFor), so the rule is identical on every parallel path:
-	// any non-positive count that reaches the pool behaves like 0.
+	// rejects negative values. Every parallel phase of the day loop runs
+	// on one worker pool (parallelFor), so the rule is identical on every
+	// path: any non-positive count that reaches the pool behaves like 0.
 	Workers int
 	// Scenario optionally injects deterministic fault events (front-end
 	// drains, BGP flaps, LDNS outages, latency inflation) into the run;
@@ -344,120 +344,27 @@ var (
 	labelLoadU       = xrand.NewLabel("load-u")
 )
 
-// RunWorld simulates over an already-built world. The run is
-// deterministic: all randomness derives from per-entity substreams, so the
-// parallel schedule cannot affect results.
-//
-// The reduce is direct-write. Beacon counts and passive rows are
-// deterministic functions of the config, so every output position is
-// known before the expensive work runs: pass one fills the columnar
-// passive log at exact indices (client-major: client i's day-d record is
-// row i*Days+d) and records per-client-day beacon counts; a serial
-// prefix-sum pass turns the counts into exact offsets within each day's
-// beacon slice; pass two executes beacons straight into their final
-// positions. Workers write disjoint indices of shared outputs, and no
-// per-client intermediate buffers exist — the allocation profile is the
-// outputs themselves plus two int32 index arrays.
-//
-// With an active LoadManager the run delegates to the streaming day loop
-// (load management is inherently day-serial: a day's controller step
-// needs the whole day's offered load) and materializes its outputs —
-// byte-identical to consuming StreamWorld directly.
+// RunWorld simulates over an already-built world and materializes every
+// day of the stream into a Result. The run is deterministic: all
+// randomness derives from per-entity substreams, so the parallel schedule
+// cannot affect results. RunWorld consumes the same day loop as
+// StreamWorld, so a Result is byte-identical to the stream by
+// construction.
 func RunWorld(cfg Config, w *World) (*Result, error) {
 	if w.Population.Base != 0 {
 		return nil, fmt.Errorf("sim: batch run over a shard world (clients start at %d); use StreamShard", w.Population.Base)
 	}
+	n := len(w.Population.Clients)
+	days := cfg.Days
+	res := &Result{
+		Cfg:         cfg,
+		World:       w,
+		Beacons:     make([][]beacon.Measurement, days),
+		Passive:     &logs.Log{},
+		Assignments: make([][]bgp.Assignment, n),
+	}
 	if cfg.LoadManager != nil {
-		return runWorldViaStream(cfg, w)
-	}
-	n := len(w.Population.Clients)
-	days := cfg.Days
-	res := &Result{
-		Cfg:         cfg,
-		World:       w,
-		Beacons:     make([][]beacon.Measurement, days),
-		Passive:     &logs.Log{},
-		Assignments: make([][]bgp.Assignment, n),
-	}
-	res.Passive.Extend(n * days)
-	// counts[i*days+d] is client i's beacon count on day d; offs is its
-	// exclusive prefix sum within day d in client order, i.e. where client
-	// i's beacons start in res.Beacons[d].
-	counts := make([]int32, n*days)
-	offs := make([]int32, n*days)
-	trafficSeed := xrand.DeriveSeedL(cfg.Seed, labelTraffic)
-	parallelFor(n, cfg.Workers, func(i int) {
-		c := w.Population.Clients[i]
-		rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
-		sched := effectiveSchedule(cfg, w, rc)
-		res.Assignments[i] = sched
-		prevFE := w.Router.Assign(rc, w.Router.BaseIngress(rc)).FrontEnd
-		for day := 0; day < days; day++ {
-			if day > 0 {
-				prevFE = sched[day-1].FrontEnd
-			}
-			q := c.QueriesOnDay(trafficSeed, day, w.Router.IsWeekend(day), cfg.QueriesPerVolume)
-			if !w.Faults.Empty() {
-				q = w.Faults.ScaleQueries(c.Region, day, q)
-			}
-			res.Passive.Set(i*days+day, logs.DayRecord{
-				ClientID:     c.ID,
-				Day:          day,
-				FrontEnd:     sched[day].FrontEnd,
-				Switched:     w.Router.SwitchedOnDay(rc, day),
-				PrevFrontEnd: prevFE,
-				Queries:      q,
-			})
-			if q > 0 {
-				counts[i*days+day] = int32(beaconCount(cfg, c.ID, day, q))
-			}
-		}
-	})
-	dayTotals := make([]int32, days)
-	for i := 0; i < n; i++ {
-		for d := 0; d < days; d++ {
-			offs[i*days+d] = dayTotals[d]
-			dayTotals[d] += counts[i*days+d]
-		}
-	}
-	for d, total := range dayTotals {
-		if total > 0 {
-			res.Beacons[d] = make([]beacon.Measurement, total)
-		}
-	}
-	parallelFor(n, cfg.Workers, func(i int) {
-		c := w.Population.Clients[i]
-		sched := res.Assignments[i]
-		for day := 0; day < days; day++ {
-			nb := int(counts[i*days+day])
-			if nb == 0 {
-				continue
-			}
-			off := int(offs[i*days+day])
-			out := res.Beacons[day][off : off+nb]
-			for k := 0; k < nb; k++ {
-				qid := xrand.DeriveSeedL3(cfg.Seed, labelQID, c.ID, uint64(day), uint64(k))
-				out[k] = w.Executor.Run(c, day, sched[day], qid)
-			}
-		}
-	})
-	return res, nil
-}
-
-// runWorldViaStream materializes a streaming run into a batch Result.
-// It is the batch path whenever load management is active, which makes
-// Run-vs-Stream byte-identity for managed runs structural rather than
-// something two parallel implementations have to maintain.
-func runWorldViaStream(cfg Config, w *World) (*Result, error) {
-	n := len(w.Population.Clients)
-	days := cfg.Days
-	res := &Result{
-		Cfg:         cfg,
-		World:       w,
-		Beacons:     make([][]beacon.Measurement, days),
-		Passive:     &logs.Log{},
-		Assignments: make([][]bgp.Assignment, n),
-		Utilization: make([][]SiteUtil, days),
+		res.Utilization = make([][]SiteUtil, days)
 	}
 	res.Passive.Extend(n * days)
 	flat := make([]bgp.Assignment, n*days)
@@ -475,7 +382,9 @@ func runWorldViaStream(cfg Config, w *World) (*Result, error) {
 		if len(d.Beacons) > 0 {
 			res.Beacons[day] = append([]beacon.Measurement(nil), d.Beacons...)
 		}
-		res.Utilization[day] = append([]SiteUtil(nil), d.Utilization...)
+		if res.Utilization != nil {
+			res.Utilization[day] = append([]SiteUtil(nil), d.Utilization...)
+		}
 		return nil
 	})
 	if err != nil {
@@ -484,27 +393,9 @@ func runWorldViaStream(cfg Config, w *World) (*Result, error) {
 	return res, nil
 }
 
-// effectiveSchedule is the per-day anycast assignment a client actually
-// experiences: the BGP schedule with any active fault events applied.
-// With no injector (or an empty scenario) it is exactly the BGP schedule,
-// value for value, which is what keeps fault-free runs byte-identical.
-// Passive logs, beacon executions, and Result.Assignments all observe
-// this effective schedule, so a drain or flap shows up as a catchment
-// shift everywhere downstream.
-func effectiveSchedule(cfg Config, w *World, rc bgp.Client) []bgp.Assignment {
-	sched := w.Router.AssignmentSchedule(rc, cfg.Days)
-	if !w.Faults.Empty() {
-		for d := range sched {
-			sched[d] = w.Faults.Rewrite(rc, d, sched[d], w.Router)
-		}
-	}
-	return sched
-}
-
 // beaconCount draws how many of a client-day's queries carry the beacon.
-// It draws from its own substream, so calling it twice for the same
-// client-day (the count pass and the fill pass of simulateClient) returns
-// the same value without perturbing any other stream.
+// It draws from its own substream, so the count depends only on the
+// client-day and never perturbs any other stream.
 func beaconCount(cfg Config, clientID uint64, day, queries int) int {
 	expect := float64(queries) * cfg.BeaconSampleRate
 	nb := int(expect)

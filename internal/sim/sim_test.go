@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"anycastcdn/internal/geo"
+	"anycastcdn/internal/load"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
 )
@@ -45,6 +46,27 @@ func TestRunShape(t *testing.T) {
 				t.Fatal("non-positive anycast RTT")
 			}
 		}
+	}
+}
+
+// TestResultUtilizationContract pins Result.Utilization's documented
+// shape: nil for an unmanaged run, one entry per day for a managed one.
+func TestResultUtilizationContract(t *testing.T) {
+	cfg := testutil.TinyConfig(3)
+	plain, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Utilization != nil {
+		t.Fatalf("unmanaged run has Utilization of length %d, want nil", len(plain.Utilization))
+	}
+	cfg.LoadManager = &load.ManagerConfig{Policy: load.Static}
+	managed, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(managed.Utilization) != cfg.Days {
+		t.Fatalf("managed run has %d utilization days, want %d", len(managed.Utilization), cfg.Days)
 	}
 }
 

@@ -42,8 +42,8 @@ type DayResult struct {
 // for paper-scale runs (millions of prefixes) whose full measurement set
 // would not fit.
 //
-// The stream is identical, measurement for measurement, to the equivalent
-// Run: both derive from the same per-entity substreams.
+// Run materializes this same stream, so the two are identical,
+// measurement for measurement, by construction.
 func Stream(cfg Config, fn func(DayResult) error) error {
 	w, err := BuildWorld(cfg)
 	if err != nil {
@@ -128,11 +128,10 @@ func streamRange(cfg Config, w *World, opts ShardOpts, fn func(DayResult) error)
 	n := opts.Hi - opts.Lo
 	days := cfg.Days
 
-	// Per-client-day ingress sites, packed flat (client-major). The full
-	// [][]bgp.Assignment schedule RunWorld materializes is ~48 bytes per
-	// client-day — gigabytes at paper scale — while the ingress alone is
-	// one SiteID, and Router.Assign plus the fault rewrite recompute the
-	// rest per day, value-identically to the batch path.
+	// Per-client-day ingress sites, packed flat (client-major). A full
+	// bgp.Assignment is ~48 bytes per client-day — gigabytes at paper
+	// scale — while the ingress alone is one SiteID, and Router.Assign
+	// plus the fault rewrite recompute the rest per day.
 	scheds := make([]topology.SiteID, n*days)
 	// prevFE[i] is client i's serving front-end at the end of the previous
 	// day (the base assignment before day 0), carried across days for the
