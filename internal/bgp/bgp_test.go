@@ -276,13 +276,15 @@ func TestSwitchTargetsMostlyNearby(t *testing.T) {
 	var dists []float64
 	for p := uint64(0); p < 20000; p++ {
 		c := Client{PrefixID: p, Point: boston.Point, ISP: 0}
-		sched := r.AssignmentSchedule(c, 14)
-		for d := 1; d < 14; d++ {
-			if sched[d].FrontEnd != sched[d-1].FrontEnd {
-				a := b.Site(sched[d-1].FrontEnd).Metro.Point
-				bb := b.Site(sched[d].FrontEnd).Metro.Point
+		var prev topology.SiteID
+		for d, ing := range r.IngressSchedule(c, 14) {
+			fe := r.Assign(c, ing).FrontEnd
+			if d > 0 && fe != prev {
+				a := b.Site(prev).Metro.Point
+				bb := b.Site(fe).Metro.Point
 				dists = append(dists, geo.DistanceKm(a, bb).Float())
 			}
+			prev = fe
 		}
 	}
 	if len(dists) < 100 {
@@ -306,7 +308,7 @@ func medianOf(xs []float64) float64 {
 	return s[len(s)/2]
 }
 
-func BenchmarkAssignmentSchedule(b *testing.B) {
+func BenchmarkIngressScheduleInto(b *testing.B) {
 	specs := []topology.SiteSpec{
 		{Metro: "new-york", FrontEnd: true, Peering: true},
 		{Metro: "chicago", FrontEnd: true, Peering: true},
@@ -320,10 +322,11 @@ func BenchmarkAssignmentSchedule(b *testing.B) {
 	isps := topology.BuildISPs(bb, geo.World(), topology.DefaultISPModelConfig(1))
 	r := NewRouter(bb, isps, 42, DefaultConfig())
 	boston, _ := geo.FindMetro("boston")
+	sched := make([]topology.SiteID, 30)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := Client{PrefixID: uint64(i), Point: boston.Point, ISP: 0}
-		_ = r.AssignmentSchedule(c, 30)
+		r.IngressScheduleInto(c, sched)
 	}
 }
