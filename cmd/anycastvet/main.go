@@ -23,17 +23,9 @@
 //	go run ./cmd/anycastvet ./...              # whole module
 //	go run ./cmd/anycastvet ./internal/sim/... # one subtree
 //	go run ./cmd/anycastvet -json ./...        # machine-readable output
-//	go run ./cmd/anycastvet -sarif ./...       # SARIF 2.1.0 output
 //	go run ./cmd/anycastvet -list              # describe the analyzers
 //	go run ./cmd/anycastvet -checks replaysafety,hotpathalloc ./...
 //	go run ./cmd/anycastvet -timings ./...     # per-analyzer wall-clock on stderr
-//	go run ./cmd/anycastvet -writebaseline vet_baseline.json ./...
-//	go run ./cmd/anycastvet -baseline vet_baseline.json ./...
-//
-// -writebaseline records the current diagnostics as grandfathered;
-// -baseline filters them out of later runs so a new analyzer can land
-// with existing violations tolerated and ratcheted down (regenerate
-// after each fix; new violations are never absorbed).
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 usage or load failure.
 package main
@@ -51,12 +43,9 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
-	sarifOut := flag.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	checks := flag.String("checks", "", "comma-separated analyzer names to run (default: all)")
 	timings := flag.Bool("timings", false, "print per-analyzer wall-clock timings to stderr")
-	baselinePath := flag.String("baseline", "", "filter diagnostics against a baseline file (see -writebaseline)")
-	writeBaseline := flag.String("writebaseline", "", "write current diagnostics to a baseline file and exit")
 	flag.Parse()
 
 	if *list {
@@ -64,10 +53,6 @@ func main() {
 			fmt.Printf("%-16s %s\n", an.Name, an.Doc)
 		}
 		return
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "anycastvet: -json and -sarif are mutually exclusive")
-		os.Exit(2)
 	}
 
 	analyzers, err := selectAnalyzers(*checks)
@@ -112,40 +97,7 @@ func main() {
 		}
 	}
 
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err == nil {
-			err = analysis.WriteBaseline(f, diags)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "anycastvet:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "anycastvet: wrote %d diagnostic(s) to baseline %s\n", len(diags), *writeBaseline)
-		return
-	}
-	if *baselinePath != "" {
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "anycastvet:", err)
-			os.Exit(2)
-		}
-		base, err := analysis.ReadBaseline(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "anycastvet:", err)
-			os.Exit(2)
-		}
-		diags = base.Filter(diags)
-	}
-
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if diags == nil {
@@ -155,12 +107,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "anycastvet:", err)
 			os.Exit(2)
 		}
-	case *sarifOut:
-		if err := analysis.WriteSARIF(os.Stdout, analyzers, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "anycastvet:", err)
-			os.Exit(2)
-		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Println(d)
 		}
