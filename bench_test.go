@@ -242,10 +242,9 @@ func BenchmarkAblationNoWeekendChurn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cum := res.Passive.CumulativeSwitched(7)
-		weekly = cum[6]
+		weekly = headline(b, experiments.NewSuite(res).Figure7(), "switched within the week")
 	}
-	b.ReportMetric(weekly*100, "pct-switched-weekly")
+	b.ReportMetric(weekly, "pct-switched-weekly")
 }
 
 // --- Extension experiments ---

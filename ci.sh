@@ -28,8 +28,10 @@
 #      writes), and the 4M-prefix x 30-day x 4-worker distributed smoke
 #      with its 2 GiB per-worker peak-RSS budget
 #   5. fuzz smoke: 5 seconds each on the DNS wire decoder, the /24
-#      parser, and the fault-scenario parser, enough to replay the corpus
-#      and shake out shallow panics
+#      parser, the fault-scenario parser, and every decoder on the
+#      distributed-run boundary (the ECDF builder and quantile sketch
+#      merges, the load-matrix and site-map decoders, the shard-day
+#      merge), enough to replay the corpus and shake out shallow panics
 #   6. race detector over the concurrent packages: the dnswire servers,
 #      the parallel simulation core, the fault-injection layer, the
 #      loopback testbed, the HTTP front-ends, the client population
@@ -124,6 +126,11 @@ echo '== fuzz smoke (5s per target)'
 go test -run '^$' -fuzz FuzzMessageUnpack -fuzztime 5s ./internal/dnswire/
 go test -run '^$' -fuzz FuzzParsePrefix24 -fuzztime 5s ./internal/netaddr/
 go test -run '^$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/faults/
+go test -run '^$' -fuzz '^FuzzECDFBuilderMergeEncoded$' -fuzztime 5s ./internal/stats/
+go test -run '^$' -fuzz '^FuzzQuantileSketchMergeEncoded$' -fuzztime 5s ./internal/stats/
+go test -run '^$' -fuzz '^FuzzDecodeMatrix$' -fuzztime 5s ./internal/distsim/
+go test -run '^$' -fuzz '^FuzzDecodeSiteMap$' -fuzztime 5s ./internal/distsim/
+go test -run '^$' -fuzz '^FuzzMergeShardDay$' -fuzztime 5s ./internal/experiments/
 
 echo '== go test -race (concurrent packages)'
 go test -race ./internal/dnswire/ ./internal/sim/ ./internal/faults/ ./internal/testbed/ ./internal/frontend/ ./internal/clients/ ./internal/load/ ./internal/logs/ ./internal/stats/ ./internal/distsim/

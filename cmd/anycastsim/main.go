@@ -41,6 +41,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -53,6 +54,7 @@ import (
 	"anycastcdn/internal/faults"
 	"anycastcdn/internal/load"
 	"anycastcdn/internal/sim"
+	"anycastcdn/internal/topology"
 )
 
 func main() {
@@ -256,20 +258,15 @@ func runDistributed(seed uint64, prefixes, days int, out, scenario, loadpolicy s
 	}
 	names := []string{"reports.txt"}
 	if res.Utilization != nil {
-		w := res.Suite.World
-		utilization, err := createCSV(out, "utilization.csv",
-			"day,site,metro,queries,capacity,utilization,shed_frac,withdrawn")
+		bb := res.Suite.World.Deployment.Backbone
+		utilization, err := createCSV(out, "utilization.csv", utilizationHeader)
 		if err != nil {
 			return err
 		}
 		for day, units := range res.Utilization {
-			for _, u := range units {
-				if _, err := fmt.Fprintf(utilization.w, "%d,%d,%s,%.0f,%.0f,%.4f,%.4f,%t\n",
-					day, u.Site, w.Deployment.Backbone.Site(u.Site).Metro.Name,
-					u.Queries, u.Capacity, u.Utilization(), u.ShedFrac, u.Withdrawn); err != nil {
-					utilization.close()
-					return err
-				}
+			if err := writeUtilization(utilization.w, bb, day, units); err != nil {
+				utilization.close()
+				return err
 			}
 		}
 		if err := utilization.close(); err != nil {
@@ -313,8 +310,7 @@ func run(seed uint64, prefixes, days int, out, scenario, loadpolicy string, repo
 	}
 	var utilization *csvFile
 	if cfg.LoadManager != nil {
-		utilization, err = createCSV(out, "utilization.csv",
-			"day,site,metro,queries,capacity,utilization,shed_frac,withdrawn")
+		utilization, err = createCSV(out, "utilization.csv", utilizationHeader)
 		if err != nil {
 			beacons.close()
 			passive.close()
@@ -344,11 +340,8 @@ func run(seed uint64, prefixes, days int, out, scenario, loadpolicy string, repo
 				return err
 			}
 		}
-		for _, u := range d.Utilization {
-			_, err := fmt.Fprintf(utilization.w, "%d,%d,%s,%.0f,%.0f,%.4f,%.4f,%t\n",
-				d.Day, u.Site, w.Deployment.Backbone.Site(u.Site).Metro.Name,
-				u.Queries, u.Capacity, u.Utilization(), u.ShedFrac, u.Withdrawn)
-			if err != nil {
+		if utilization != nil {
+			if err := writeUtilization(utilization.w, w.Deployment.Backbone, d.Day, d.Utilization); err != nil {
 				return err
 			}
 		}
@@ -392,6 +385,21 @@ func run(seed uint64, prefixes, days int, out, scenario, loadpolicy string, repo
 	}
 	for _, name := range names {
 		fmt.Println("wrote", filepath.Join(out, name))
+	}
+	return nil
+}
+
+// utilizationHeader and writeUtilization define utilization.csv, which
+// the single-process and distributed modes must write byte-identically.
+const utilizationHeader = "day,site,metro,queries,capacity,utilization,shed_frac,withdrawn"
+
+func writeUtilization(w io.Writer, bb *topology.Backbone, day int, units []sim.SiteUtil) error {
+	for _, u := range units {
+		if _, err := fmt.Fprintf(w, "%d,%d,%s,%.0f,%.0f,%.4f,%.4f,%t\n",
+			day, u.Site, bb.Site(u.Site).Metro.Name,
+			u.Queries, u.Capacity, u.Utilization(), u.ShedFrac, u.Withdrawn); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -58,8 +58,8 @@ type Result struct {
 }
 
 // Run executes cfg split across opts.Shards workers and merges their
-// per-day deltas into a single analysis. The merge is deterministic:
-// shard deltas are folded in (day, shard) order, so the result is
+// per-day frames into a single analysis. The merge is deterministic:
+// shard frames are folded in (day, shard) order, so the result is
 // byte-identical to a single-process run — regardless of how the workers'
 // execution interleaves.
 func Run(ctx context.Context, cfg sim.Config, opts Options) (*Result, error) {
@@ -80,7 +80,7 @@ func Run(ctx context.Context, cfg sim.Config, opts Options) (*Result, error) {
 		opts.Argv = []string{exe, "-worker"}
 	}
 
-	// The coordinator never holds a population: it merges encoded deltas
+	// The coordinator never holds a population: it merges encoded frames
 	// over an analysis world (deployment, topology, models — no clients).
 	aw, err := sim.BuildAnalysisWorld(cfg)
 	if err != nil {
@@ -288,7 +288,7 @@ func (c *coordinator) capsPhase() error {
 }
 
 // run drives the day loop and closes the protocol. The merge is
-// single-threaded and allocation-light: delta payloads are decoded in
+// single-threaded and allocation-light: frame payloads are decoded in
 // place from each connection's reusable read buffer.
 func (c *coordinator) run() (*Result, error) {
 	res := &Result{Suite: experiments.NewStreamSuite(c.cfg, c.world)}
@@ -358,7 +358,7 @@ func (c *coordinator) demandBarrier(day int) error {
 	return nil
 }
 
-// mergeDay folds one worker's Day frame: the analysis delta into the
+// mergeDay folds one worker's Day frame: the analysis frame into the
 // suite, then the utilization section into the day's fleet picture
 // (queries summed, control fields validated replica-identical).
 func (c *coordinator) mergeDay(suite *experiments.StreamSuite, day, shard int, payload []byte, dayUtil []sim.SiteUtil) ([]sim.SiteUtil, error) {
@@ -368,7 +368,7 @@ func (c *coordinator) mergeDay(suite *experiments.StreamSuite, day, shard int, p
 	deltaLen := binary.LittleEndian.Uint64(payload)
 	payload = payload[8:]
 	if uint64(len(payload)) < deltaLen {
-		return nil, fmt.Errorf("distsim: day frame shorter than its delta")
+		return nil, fmt.Errorf("distsim: day frame shorter than its analysis section")
 	}
 	lo, hi := c.bounds[shard][0], c.bounds[shard][1]
 	if err := suite.MergeShardDay(day, lo, hi, payload[:deltaLen]); err != nil {
@@ -380,8 +380,8 @@ func (c *coordinator) mergeDay(suite *experiments.StreamSuite, day, shard int, p
 	}
 	n := binary.LittleEndian.Uint64(util)
 	util = util[8:]
-	if uint64(len(util)) != 33*n {
-		return nil, fmt.Errorf("distsim: utilization section is %d bytes, want %d", len(util), 33*n)
+	if len(util)%33 != 0 || uint64(len(util))/33 != n {
+		return nil, fmt.Errorf("distsim: utilization section is %d bytes for %d sites", len(util), n)
 	}
 	if n == 0 {
 		return dayUtil, nil

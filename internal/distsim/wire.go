@@ -2,7 +2,7 @@
 // worker processes. The coordinator splits the client population into
 // contiguous prefix-range shards, hands each shard to a worker (a
 // re-exec of the current binary, or an in-process goroutine speaking the
-// same protocol), and folds the workers' per-day encoded deltas into one
+// same protocol), and folds the workers' encoded aggregator state into one
 // experiments.StreamSuite — in shard order, so the merged analysis is
 // byte-identical to a single-process run over the same configuration.
 //
@@ -31,20 +31,20 @@ import (
 type frameType byte
 
 const (
-	frameConfig    frameType = 1 // coordinator → worker: gob(wireConfig)
-	frameHello     frameType = 2 // worker → coordinator: world built, empty
-	frameCapsPart  frameType = 3 // worker → coordinator: shard load matrix
-	frameCaps      frameType = 4 // coordinator → worker: derived capacities
-	frameDemand    frameType = 5 // worker → coordinator: shard demand for one day
-	frameGlobal    frameType = 6 // coordinator → worker: reduced global demand
-	frameDay       frameType = 7 // worker → coordinator: one day's delta + utilization
-	frameDone      frameType = 8 // worker → coordinator: gob(WorkerStats)
-	frameError     frameType = 9 // either direction: failure message, then hang up
+	frameConfig    frameType = 1  // coordinator → worker: gob(wireConfig)
+	frameHello     frameType = 2  // worker → coordinator: world built, empty
+	frameCapsPart  frameType = 3  // worker → coordinator: shard load matrix
+	frameCaps      frameType = 4  // coordinator → worker: derived capacities
+	frameDemand    frameType = 5  // worker → coordinator: shard demand for one day
+	frameGlobal    frameType = 6  // coordinator → worker: reduced global demand
+	frameDay       frameType = 7  // worker → coordinator: one day's analysis frame + utilization
+	frameDone      frameType = 8  // worker → coordinator: gob(WorkerStats)
+	frameError     frameType = 9  // either direction: failure message, then hang up
 	frameHeartbeat frameType = 10 // worker → coordinator: liveness, empty
 )
 
-// maxFramePayload bounds a single frame. Day-0 deltas carry per-client
-// sections (~100 B/client), so paper-scale shards produce frames in the
+// maxFramePayload bounds a single frame. Day-0 frames carry per-client
+// sections (~90 B/client), so paper-scale shards produce frames in the
 // hundreds of MB; 2 GiB is the protocol's hard cap and comfortably above
 // any real shard.
 const maxFramePayload = 2 << 30
@@ -160,8 +160,8 @@ func decodeMatrix(dst []float64, data []byte) ([]float64, error) {
 	}
 	n := binary.LittleEndian.Uint64(data)
 	data = data[8:]
-	if uint64(len(data)) != 8*n {
-		return nil, fmt.Errorf("distsim: matrix payload is %d bytes, want %d", len(data), 8*n)
+	if len(data)%8 != 0 || uint64(len(data))/8 != n {
+		return nil, fmt.Errorf("distsim: matrix payload is %d bytes for %d cells", len(data), n)
 	}
 	if dst == nil {
 		dst = make([]float64, n)
@@ -202,8 +202,8 @@ func decodeSiteMap(m map[topology.SiteID]float64, data []byte, add bool) error {
 	}
 	n := binary.LittleEndian.Uint64(data)
 	data = data[8:]
-	if uint64(len(data)) != 16*n {
-		return fmt.Errorf("distsim: site map payload is %d bytes, want %d", len(data), 16*n)
+	if len(data)%16 != 0 || uint64(len(data))/16 != n {
+		return fmt.Errorf("distsim: site map payload is %d bytes for %d pairs", len(data), n)
 	}
 	if !add {
 		clear(m)

@@ -1,0 +1,107 @@
+package distsim
+
+import (
+	"encoding/binary"
+	"testing"
+
+	"anycastcdn/internal/experiments"
+	"anycastcdn/internal/sim"
+	"anycastcdn/internal/testutil"
+	"anycastcdn/internal/topology"
+)
+
+// countFrame is an encoded section whose element count is n, followed by
+// tail bytes of payload.
+func countFrame(n uint64, tail int) []byte {
+	return append(binary.LittleEndian.AppendUint64(nil, n), make([]byte, tail)...)
+}
+
+// TestDecodeMatrixCountOverflow: a cell count whose byte size wraps to
+// the payload length (8·2^61 ≡ 0) must be rejected, not allocated.
+func TestDecodeMatrixCountOverflow(t *testing.T) {
+	for _, n := range []uint64{1 << 61, 1<<61 + 1} {
+		if _, err := decodeMatrix(nil, countFrame(n, 8)); err == nil {
+			t.Errorf("count %d accepted", n)
+		}
+	}
+	if _, err := decodeMatrix(nil, countFrame(1, 8)); err != nil {
+		t.Errorf("valid one-cell matrix rejected: %v", err)
+	}
+}
+
+// TestDecodeSiteMapCountOverflow: a pair count whose byte size wraps to
+// the payload length (16·2^60 ≡ 0) must be rejected before the loop
+// indexes past the payload.
+func TestDecodeSiteMapCountOverflow(t *testing.T) {
+	m := map[topology.SiteID]float64{}
+	for _, n := range []uint64{1 << 60, 1<<60 + 1} {
+		if err := decodeSiteMap(m, countFrame(n, 16), true); err == nil {
+			t.Errorf("count %d accepted", n)
+		}
+	}
+	if err := decodeSiteMap(m, countFrame(1, 16), false); err != nil || len(m) != 1 {
+		t.Errorf("valid one-pair map: err %v, %d entries", err, len(m))
+	}
+}
+
+// TestMergeDayUtilizationCountOverflow: the utilization section's site
+// count is checked by division, so 33·n cannot wrap to the section size.
+func TestMergeDayUtilizationCountOverflow(t *testing.T) {
+	cfg := testutil.TinyConfig(5)
+	w, err := sim.BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(w.Population.Clients)
+	obs, err := experiments.NewShardObserver(cfg, w, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame []byte
+	err = sim.StreamWorld(cfg, w, func(d sim.DayResult) error {
+		if d.Day == 1 { // a bare-header day keeps the frame small
+			frame = obs.AppendDay(d, nil)
+		} else {
+			obs.AppendDay(d, nil)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &coordinator{bounds: [][2]int{{0, n}}}
+	suite := experiments.NewStreamSuite(cfg, w)
+	payload := binary.LittleEndian.AppendUint64(nil, uint64(len(frame)))
+	payload = append(payload, frame...)
+	// 33 · 0x0F83E0F83E0F83E1 ≡ 1 (mod 2^64): a one-byte section.
+	bad := append(append([]byte{}, payload...), countFrame(0x0F83E0F83E0F83E1, 1)...)
+	if _, err := c.mergeDay(suite, 1, 0, bad, nil); err == nil {
+		t.Error("wrapped utilization count accepted")
+	}
+	if _, err := c.mergeDay(suite, 1, 0, append(payload, countFrame(0, 0)...), nil); err != nil {
+		t.Errorf("valid empty utilization section rejected: %v", err)
+	}
+}
+
+// FuzzDecodeMatrix: any payload decodes or errors; nothing panics or
+// allocates past the payload's own size.
+func FuzzDecodeMatrix(f *testing.F) {
+	f.Add(appendMatrix(nil, []float64{1, 2.5, 0}))
+	f.Add(countFrame(1<<61, 8))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodeMatrix(nil, data)
+		if err == nil && 8*len(m)+8 != len(data) {
+			t.Fatalf("%d cells decoded from %d bytes", len(m), len(data))
+		}
+	})
+}
+
+// FuzzDecodeSiteMap: any payload decodes or errors, in both modes.
+func FuzzDecodeSiteMap(f *testing.F) {
+	enc, _ := appendSiteMap(nil, map[topology.SiteID]float64{3: 7, 1: 2}, nil)
+	f.Add(enc, true)
+	f.Add(countFrame(1<<60, 16), false)
+	f.Fuzz(func(t *testing.T, data []byte, add bool) {
+		_ = decodeSiteMap(map[topology.SiteID]float64{}, data, add)
+	})
+}

@@ -60,7 +60,7 @@ func ServeFD(ctx context.Context) error {
 
 // Serve runs the worker side of the protocol on conn: receive the
 // configuration and shard range, build the world, stream the shard, and
-// send one delta frame per day. Any failure is reported to the
+// send one frame per day. Any failure is reported to the
 // coordinator as an Error frame before returning. Serve closes conn.
 func Serve(ctx context.Context, conn net.Conn) error {
 	defer conn.Close()
@@ -232,14 +232,14 @@ func (w *worker) exchangeDemand(day int, shard map[topology.SiteID]float64) (map
 	return w.global, nil
 }
 
-// sendDay frames one simulated day: the shard's encoded analysis delta,
+// sendDay frames one simulated day: the shard's encoded analysis frame,
 // then the utilization section for managed runs. The payload buffer is
 // reused across days.
 func (w *worker) sendDay(obs *experiments.ShardObserver, d sim.DayResult) error {
 	buf := w.sendBuf[:0]
-	// Reserve the delta-length word, encode the delta in place, then
-	// back-patch — no second copy of a frame that carries per-client
-	// sections on day 0.
+	// Reserve the analysis-length word, encode the analysis section in
+	// place, then back-patch — no second copy of a frame that carries
+	// per-client sections on day 0 and the last day.
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
 	buf = obs.AppendDay(d, buf)
 	binary.LittleEndian.PutUint64(buf[:8], uint64(len(buf)-8))

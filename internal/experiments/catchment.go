@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"anycastcdn/internal/geo"
@@ -20,12 +23,21 @@ import (
 // cannot control ("anycast is unaware of server load").
 func (s *Suite) Catchments(topN int) Report { return s.stream.Catchments(topN) }
 
-// catchmentAgg accumulates per-front-end catchment statistics one passive
-// record at a time.
+// catchmentAgg collects day-0 catchment rows one passive record at a
+// time. It keeps the rows in arrival order and folds the per-front-end
+// sums only in report: volumes are arbitrary floats, so the sums are
+// order-sensitive in their last bits, and keeping the rows makes the
+// distributed merge a plain append that reproduces the single-process
+// additions exactly.
 type catchmentAgg struct {
-	w           *sim.World
-	perFE       map[topology.SiteID]*catchmentFE
-	totalVolume float64
+	w    *sim.World
+	rows []catchmentRow
+}
+
+type catchmentRow struct {
+	fe     topology.SiteID
+	volume float64
+	dist   units.Kilometers
 }
 
 type catchmentFE struct {
@@ -35,7 +47,7 @@ type catchmentFE struct {
 }
 
 func newCatchmentAgg(w *sim.World) *catchmentAgg {
-	return &catchmentAgg{w: w, perFE: map[topology.SiteID]*catchmentFE{}}
+	return &catchmentAgg{w: w}
 }
 
 func (a *catchmentAgg) observe(r logs.DayRecord) {
@@ -44,25 +56,41 @@ func (a *catchmentAgg) observe(r logs.DayRecord) {
 	}
 	c := a.w.Population.Client(r.ClientID)
 	bb := a.w.Deployment.Backbone
-	a.apply(r.FrontEnd, c.Volume, geo.DistanceKm(c.Point, bb.Site(r.FrontEnd).Metro.Point))
+	a.rows = append(a.rows, catchmentRow{r.FrontEnd, c.Volume, geo.DistanceKm(c.Point, bb.Site(r.FrontEnd).Metro.Point)})
 }
 
-// apply folds one day-0 record's contribution in. Volumes are arbitrary
-// floats, so the per-front-end and total sums are order-sensitive in
-// their last bits: the distributed merge ships each shard's (front-end,
-// volume, distance) tuples verbatim and replays them here in global
-// client order, reproducing the single-process additions exactly rather
-// than re-associating partial sums.
-func (a *catchmentAgg) apply(feID topology.SiteID, volume float64, dist units.Kilometers) {
-	fe := a.perFE[feID]
-	if fe == nil {
-		fe = &catchmentFE{}
-		a.perFE[feID] = fe
+// appendState ships the rows in arrival order; mergeState appends a
+// shard's rows after the ones already merged.
+func (a *catchmentAgg) appendState(dst []byte) []byte {
+	dst = slices.Grow(dst, 8+24*len(a.rows)) // see stats.ECDFBuilder.Encode
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(a.rows)))
+	for _, r := range a.rows {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.fe))
+		dst = putFloat(dst, r.volume)
+		dst = putFloat(dst, float64(r.dist))
 	}
-	fe.clients++
-	fe.volume += volume
-	a.totalVolume += volume
-	fe.dists = append(fe.dists, dist)
+	return dst
+}
+
+func (a *catchmentAgg) mergeState(data []byte) ([]byte, error) {
+	n, data, err := getCount(data, 24)
+	if err != nil {
+		return nil, err
+	}
+	a.rows = slices.Grow(a.rows, int(n))
+	for ; n > 0; n-- {
+		fe, err := getSite(data, a.w.Deployment.Backbone.NumSites())
+		if err != nil {
+			return nil, err
+		}
+		a.rows = append(a.rows, catchmentRow{
+			fe:     fe,
+			volume: math.Float64frombits(binary.LittleEndian.Uint64(data[8:])),
+			dist:   units.Kilometers(math.Float64frombits(binary.LittleEndian.Uint64(data[16:]))),
+		})
+		data = data[24:]
+	}
+	return data, nil
 }
 
 func (a *catchmentAgg) report(topN int) Report {
@@ -70,13 +98,26 @@ func (a *catchmentAgg) report(topN int) Report {
 		topN = 15
 	}
 	bb := a.w.Deployment.Backbone
+	perFE := map[topology.SiteID]*catchmentFE{}
+	var totalVolume float64
+	for _, r := range a.rows {
+		fe := perFE[r.fe]
+		if fe == nil {
+			fe = &catchmentFE{}
+			perFE[r.fe] = fe
+		}
+		fe.clients++
+		fe.volume += r.volume
+		totalVolume += r.volume
+		fe.dists = append(fe.dists, r.dist)
+	}
 	type row struct {
 		fe  topology.SiteID
 		agg *catchmentFE
 	}
-	rows := make([]row, 0, len(a.perFE))
+	rows := make([]row, 0, len(perFE))
 	//replay:commutative rows get a total order immediately below (volume, then site id), so collection order is discarded
-	for fe, fa := range a.perFE {
+	for fe, fa := range perFE {
 		rows = append(rows, row{fe, fa})
 	}
 	sort.Slice(rows, func(i, j int) bool {
@@ -104,15 +145,15 @@ func (a *catchmentAgg) report(topN int) Report {
 		tb.Rows = append(tb.Rows, []string{
 			bb.Site(r.fe).Metro.Name,
 			fmt.Sprintf("%d", r.agg.clients),
-			pct(r.agg.volume / a.totalVolume),
+			pct(r.agg.volume / totalVolume),
 			fmt.Sprintf("%.0f", med),
 			fmt.Sprintf("%.0f", p90),
 		})
 	}
 	// Imbalance headline: top front-end share vs a uniform share.
 	lines := []Headline{}
-	if len(rows) > 0 && a.totalVolume > 0 {
-		topShare := rows[0].agg.volume / a.totalVolume
+	if len(rows) > 0 && totalVolume > 0 {
+		topShare := rows[0].agg.volume / totalVolume
 		uniform := 1 / float64(a.w.Deployment.NumFrontEnds())
 		lines = append(lines, Headline{
 			Name:     "anycast load imbalance (top front-end vs uniform)",

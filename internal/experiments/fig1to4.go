@@ -303,6 +303,31 @@ func (a *figure4Agg) observe(r logs.DayRecord) {
 	a.uToFE.Add(d)
 }
 
+// builders lists the four sample runs in their wire order.
+func (a *figure4Agg) builders() [4]*stats.ECDFBuilder[units.Kilometers] {
+	return [4]*stats.ECDFBuilder[units.Kilometers]{&a.wToFE, &a.uToFE, &a.wPast, &a.uPast}
+}
+
+// appendState ships the four sample runs verbatim; mergeState appends a
+// shard's runs after the ones already merged, so merging shards in client
+// order rebuilds the single-process insertion order.
+func (a *figure4Agg) appendState(dst []byte) []byte {
+	for _, b := range a.builders() {
+		dst = b.Encode(dst)
+	}
+	return dst
+}
+
+func (a *figure4Agg) mergeState(data []byte) ([]byte, error) {
+	var err error
+	for _, b := range a.builders() {
+		if data, err = b.MergeEncoded(data); err != nil {
+			return nil, err
+		}
+	}
+	return data, nil
+}
+
 func (a *figure4Agg) report() Report {
 	fig := &stats.Figure{
 		Title:  "Figure 4: distance between clients and their anycast front-end",

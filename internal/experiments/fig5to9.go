@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -138,14 +139,13 @@ const figure7Week = 7
 func (s *Suite) Figure7() Report { return s.stream.Figure7() }
 
 // switchAgg accumulates Figure 7's cumulative-switch analysis one passive
-// record at a time. It mirrors
-// logs.CumulativeSwitched exactly — integer counting in dense arrays
-// indexed by client ID, so the result is independent of observation
-// order: clients with no traffic on a day don't count as active (the
-// paper can only observe clients that appear in logs), and a client's
-// first visible front-end change marks every later day of the window.
-// The dense layout is also the distributed merge's entry point: shard
-// deltas arrive as per-day ID lists and bump these arrays directly.
+// record at a time, counting integers in dense arrays indexed by client
+// ID, so the result is independent of observation order. Its observe is
+// the one place Figure 7's rules live: clients with no traffic on a day
+// don't count as active (the paper can only observe clients that appear
+// in logs), and a client's first visible front-end change marks every
+// later day of the window. The dense layout is also the distributed
+// merge's entry point: each shard's slice of the arrays is copied in.
 type switchAgg struct {
 	days int
 	// firstChange[c] is the first in-window day client c visibly changed
@@ -174,8 +174,40 @@ func (a *switchAgg) observe(r logs.DayRecord) {
 	}
 }
 
-// cumulative computes the per-day cumulative switched fraction — the same
-// output as logs.CumulativeSwitched over the records observed.
+// appendState ships the per-client state of clients [lo, hi), which is
+// final after the last day; mergeState copies it in.
+func (a *switchAgg) appendState(dst []byte, lo, hi int) []byte {
+	for _, d := range a.firstChange[lo:hi] {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(d))
+	}
+	for _, on := range a.active[lo:hi] {
+		if on {
+			dst = append(dst, 1)
+		} else {
+			dst = append(dst, 0)
+		}
+	}
+	return dst
+}
+
+func (a *switchAgg) mergeState(data []byte, lo, hi int) ([]byte, error) {
+	n := hi - lo
+	if len(data) < 5*n {
+		return nil, fmt.Errorf("experiments: truncated Figure 7 state")
+	}
+	for i := range n {
+		d := int32(binary.LittleEndian.Uint32(data[4*i:]))
+		on := data[4*n+i]
+		if d < -1 || int(d) >= a.days || on > 1 {
+			return nil, fmt.Errorf("experiments: client %d has Figure 7 state (%d, %d)", lo+i, d, on)
+		}
+		a.firstChange[lo+i], a.active[lo+i] = d, on == 1
+	}
+	return data[5*n:], nil
+}
+
+// cumulative computes the per-day cumulative switched fraction over the
+// records observed.
 func (a *switchAgg) cumulative() []float64 {
 	out := make([]float64, a.days)
 	nActive := 0
@@ -245,11 +277,10 @@ const (
 func (s *Suite) Figure8() Report { return s.stream.Figure8() }
 
 // fig8Agg accumulates switch distances into a constant-memory quantile
-// sketch. Unweighted samples make the
-// sketch bit-identical regardless of observation order. The observability
-// filter matches logs.SwitchDistancesKm: a switch on a zero-query day has
-// no log row in a real passive log, so it is invisible to the figure —
-// the same rule Figure 7 applies.
+// sketch. Unweighted samples make the sketch bit-identical regardless of
+// observation order. A switch on a zero-query day has no log row in a
+// real passive log, so it is invisible to the figure — the same rule
+// Figure 7 applies.
 type fig8Agg struct {
 	bb     *topology.Backbone
 	sketch *stats.QuantileSketch[units.Kilometers]

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -22,11 +23,11 @@ import (
 func (s *Suite) TCPDisruption() Report { return s.stream.TCPDisruption() }
 
 // tcpAgg accumulates per-client switch-day and total-day counts one
-// passive record at a time. Dense arrays
-// indexed by client ID (IDs are population indices): integer counters
-// make the report independent of observation order, and the fixed index
-// order is what lets the distributed merge bump counters from per-shard
-// ID lists without ever reconciling map key sets.
+// passive record at a time. Dense arrays indexed by client ID (IDs are
+// population indices): integer counters make the report independent of
+// observation order, and the fixed index order is what lets the
+// distributed merge copy each shard's slice in without ever reconciling
+// map key sets.
 type tcpAgg struct {
 	switchDays []int32
 	totalDays  []int32
@@ -41,6 +42,34 @@ func (a *tcpAgg) observe(r logs.DayRecord) {
 	if r.FrontEndChanged() {
 		a.switchDays[r.ClientID]++
 	}
+}
+
+// appendState ships the counters of clients [lo, hi), which are final
+// after the last day; mergeState copies them in. Every client has a
+// record on every day, so a shard's total must equal days.
+func (a *tcpAgg) appendState(dst []byte, lo, hi int) []byte {
+	for i := lo; i < hi; i++ {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(a.switchDays[i]))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(a.totalDays[i]))
+	}
+	return dst
+}
+
+func (a *tcpAgg) mergeState(data []byte, lo, hi, days int) ([]byte, error) {
+	if len(data) < 8*(hi-lo) {
+		return nil, fmt.Errorf("experiments: truncated TCP counters")
+	}
+	for i := lo; i < hi; i++ {
+		sw := binary.LittleEndian.Uint32(data)
+		total := binary.LittleEndian.Uint32(data[4:])
+		data = data[8:]
+		if total != uint32(days) || sw > total {
+			return nil, fmt.Errorf("experiments: client %d has %d switch days of %d, want at most %d of %d",
+				i, sw, total, days, days)
+		}
+		a.switchDays[i], a.totalDays[i] = int32(sw), int32(total)
+	}
+	return data, nil
 }
 
 func (a *tcpAgg) report() Report {

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"anycastcdn/internal/load"
@@ -38,6 +41,40 @@ func (a *loadShedAgg) observe(r logs.DayRecord, ingress topology.SiteID) {
 		return
 	}
 	a.demand[ingress] += float64(r.Queries)
+}
+
+// appendState ships the demand as (site, queries) pairs sorted by site,
+// so the frame bytes are deterministic; mergeState sums a shard's pairs
+// in, which is exact because every value is an integer count.
+func (a *loadShedAgg) appendState(dst []byte) []byte {
+	sites := make([]topology.SiteID, 0, len(a.demand))
+	//replay:commutative keys only; sorted immediately below, so collection order is discarded
+	for s := range a.demand {
+		sites = append(sites, s)
+	}
+	slices.Sort(sites)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(sites)))
+	for _, s := range sites {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(s))
+		dst = putFloat(dst, a.demand[s])
+	}
+	return dst
+}
+
+func (a *loadShedAgg) mergeState(data []byte, numSites int) ([]byte, error) {
+	n, data, err := getCount(data, 16)
+	if err != nil {
+		return nil, err
+	}
+	for ; n > 0; n-- {
+		site, err := getSite(data, numSites)
+		if err != nil {
+			return nil, err
+		}
+		a.demand[site] += math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
+		data = data[16:]
+	}
+	return data, nil
 }
 
 func (a *loadShedAgg) report(w *sim.World, crowdFactor float64) Report {

@@ -1,16 +1,19 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"anycastcdn/internal/faults"
 	"anycastcdn/internal/sim"
+	"anycastcdn/internal/stats"
 	"anycastcdn/internal/testutil"
+	"anycastcdn/internal/units"
 )
 
 // shardFrames streams one shard's days through a ShardObserver and
-// returns the encoded per-day deltas.
-func shardFrames(t *testing.T, cfg sim.Config, w *sim.World, lo, hi int) [][]byte {
+// returns the encoded per-day frames.
+func shardFrames(t testing.TB, cfg sim.Config, w *sim.World, lo, hi int) [][]byte {
 	t.Helper()
 	obs, err := NewShardObserver(cfg, w, lo, hi)
 	if err != nil {
@@ -91,7 +94,9 @@ func TestShardMergeMatchesStreamSuite(t *testing.T) {
 }
 
 // TestMergeShardDayErrors pins the malformed-frame paths: nothing a
-// worker sends should be able to panic the coordinator.
+// worker sends should be able to panic the coordinator or make it
+// over-allocate, and state a single process could never produce is
+// rejected.
 func TestMergeShardDayErrors(t *testing.T) {
 	cfg := testutil.TinyConfig(5)
 	w, err := sim.BuildWorld(cfg)
@@ -100,11 +105,33 @@ func TestMergeShardDayErrors(t *testing.T) {
 	}
 	n := len(w.Population.Clients)
 	frames := shardFrames(t, cfg, w, 0, n)
+	last := cfg.Days - 1
 
 	fresh := func() *StreamSuite { return NewStreamSuite(cfg, w) }
-	if err := fresh().MergeShardDay(0, 0, n, frames[0]); err != nil {
-		t.Fatalf("valid frame rejected: %v", err)
+	for day, f := range frames {
+		if err := fresh().MergeShardDay(day, 0, n, f); err != nil {
+			t.Fatalf("valid day-%d frame rejected: %v", day, err)
+		}
 	}
+	// patch copies a frame and overwrites bytes at off; the last day's
+	// frame is the header, then (switch days, total days) as uint32 pairs
+	// per client, then Figure 7's firstChange words and active bytes.
+	patch := func(f []byte, off int, b ...byte) []byte {
+		f = append([]byte{}, f...)
+		copy(f[off:], b)
+		return f
+	}
+	const hdr = 1 + 3*8
+	tcpAt, fcAt, activeAt := hdr, hdr+8*n, hdr+12*n
+	// A day-0 frame whose catchment count makes 24·count wrap to 8.
+	huge := append([]byte{}, frames[1]...)
+	huge[1] = 0 // day 1's bare header, relabeled day 0
+	for range 4 {
+		huge = new(stats.ECDFBuilder[units.Kilometers]).Encode(huge)
+	}
+	huge = binary.LittleEndian.AppendUint64(huge, 768614336404564651)
+	huge = append(huge, make([]byte, 8)...)
+
 	cases := []struct {
 		name        string
 		day, lo, hi int
@@ -116,12 +143,40 @@ func TestMergeShardDayErrors(t *testing.T) {
 		{"wrong range", 0, 0, n - 1, frames[0]},
 		{"truncated", 0, 0, n, frames[0][:len(frames[0])/2]},
 		{"trailing bytes", 0, 0, n, append(append([]byte{}, frames[0]...), 0xAB)},
+		{"middle day with state", 1, 0, n, append(append([]byte{}, frames[1]...), 0)},
+		{"catchment count overflow", 0, 0, n, huge},
+		{"truncated last day", last, 0, n, frames[last][:len(frames[last])-1]},
+		{"total days != Days", last, 0, n, patch(frames[last], tcpAt+4, byte(cfg.Days+1))},
+		{"switch days > total days", last, 0, n, patch(frames[last], tcpAt, byte(cfg.Days+1))},
+		{"firstChange below -1", last, 0, n, patch(frames[last], fcAt, 0xFE, 0xFF, 0xFF, 0xFF)},
+		{"firstChange past window", last, 0, n, patch(frames[last], fcAt, figure7Week, 0, 0, 0)},
+		{"active byte not 0 or 1", last, 0, n, patch(frames[last], activeAt, 2)},
 	}
 	for _, c := range cases {
 		if err := fresh().MergeShardDay(c.day, c.lo, c.hi, c.data); err == nil {
 			t.Errorf("%s: malformed frame accepted", c.name)
 		}
 	}
+}
+
+// FuzzMergeShardDay feeds arbitrary frames to the coordinator's merge,
+// seeded with real day-0, middle-day and last-day frames: it must return
+// an error or merge, never panic.
+func FuzzMergeShardDay(f *testing.F) {
+	cfg := testutil.TinyConfig(5)
+	cfg.Prefixes = 40
+	w, err := sim.BuildWorld(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	n := len(w.Population.Clients)
+	frames := shardFrames(f, cfg, w, 0, n)
+	for _, day := range []int{0, 2, cfg.Days - 1} {
+		f.Add(day, frames[day])
+	}
+	f.Fuzz(func(t *testing.T, day int, data []byte) {
+		_ = NewStreamSuite(cfg, w).MergeShardDay(day, 0, n, data)
+	})
 }
 
 // TestShardObserverRejectsBadRange pins the constructor validation.

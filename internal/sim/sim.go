@@ -156,9 +156,6 @@ func (w *World) InstallFaults(inj *faults.Injector) {
 
 // BuildWorld constructs the environment for a config.
 func BuildWorld(cfg Config) (*World, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	return buildWorldRange(cfg, 0, cfg.Prefixes)
 }
 
@@ -184,20 +181,13 @@ func BuildShardWorld(cfg Config, lo, hi int) (*World, error) {
 }
 
 // buildWorldRange is the shared builder behind BuildWorld (the full
-// range) and BuildShardWorld. cfg must already be validated.
+// range) and BuildShardWorld: the population-free half from
+// BuildAnalysisWorld, plus the clients and LDNS assignments of [lo, hi).
 func buildWorldRange(cfg Config, lo, hi int) (*World, error) {
-	dep, err := cdn.BuildPreset(cfg.Deployment)
+	w, err := BuildAnalysisWorld(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("sim: building deployment: %w", err)
+		return nil, err
 	}
-	metros := geo.World()
-
-	ispCfg := topology.DefaultISPModelConfig(xrand.DeriveSeed(cfg.Seed, "isps"))
-	if cfg.ISPs != nil {
-		ispCfg = *cfg.ISPs
-	}
-	isps := topology.BuildISPs(dep.Backbone, metros, ispCfg)
-
 	mapCfg := dns.DefaultMapperConfig(xrand.DeriveSeed(cfg.Seed, "ldns"))
 	if cfg.Mapper != nil {
 		mapCfg = *cfg.Mapper
@@ -206,53 +196,25 @@ func buildWorldRange(cfg Config, lo, hi int) (*World, error) {
 	// visits every client transiently and the mapper observes each one, so
 	// a shard build pays one pass of draws, not two, and materializes
 	// nothing outside [lo, hi).
-	rm, err := dns.NewRangeMapper(isps, metros, mapCfg, uint64(lo), uint64(hi))
+	rm, err := dns.NewRangeMapper(w.ISPs, w.Metros, mapCfg, uint64(lo), uint64(hi))
 	if err != nil {
 		return nil, fmt.Errorf("sim: mapping LDNS: %w", err)
 	}
-	pop, err := clients.GenerateRange(metros, isps,
+	w.Population, err = clients.GenerateRange(w.Metros, w.ISPs,
 		clients.DefaultConfig(xrand.DeriveSeed(cfg.Seed, "clients"), cfg.Prefixes), lo, hi, rm.Observe)
 	if err != nil {
 		return nil, fmt.Errorf("sim: generating clients: %w", err)
 	}
-	mapping := rm.Mapping()
-
-	routeCfg := bgp.DefaultConfig()
-	if cfg.Routing != nil {
-		routeCfg = *cfg.Routing
-	}
-	router := bgp.NewRouter(dep.Backbone, isps, xrand.DeriveSeed(cfg.Seed, "bgp"), routeCfg)
-
-	latCfg := latency.DefaultConfig()
-	if cfg.Latency != nil {
-		latCfg = *cfg.Latency
-	}
-	model := latency.NewModel(xrand.DeriveSeed(cfg.Seed, "latency"), latCfg)
-
-	geoDB := geo.NewDB(xrand.DeriveSeed(cfg.Seed, "geodb"),
-		cfg.GeoMedianErrKm, cfg.GeoGrossRate, cfg.GeoGrossKm)
-	auth := dns.NewAuthority(dep, geoDB, cfg.CandidateCount)
-
-	exec := &beacon.Executor{
-		Router:    router,
-		Authority: auth,
-		Latency:   model,
-		Mapping:   mapping,
+	w.Mapping = rm.Mapping()
+	w.Executor = &beacon.Executor{
+		Router:    w.Router,
+		Authority: w.Authority,
+		Latency:   w.Latency,
+		Mapping:   w.Mapping,
 		Seed:      xrand.DeriveSeed(cfg.Seed, "beacon"),
 	}
-	w := &World{
-		Metros:     metros,
-		Deployment: dep,
-		ISPs:       isps,
-		Population: pop,
-		Mapping:    mapping,
-		Router:     router,
-		Authority:  auth,
-		Latency:    model,
-		Executor:   exec,
-	}
 	if cfg.Scenario != nil {
-		inj, err := faults.NewInjector(*cfg.Scenario, dep, mapping, metros)
+		inj, err := faults.NewInjector(*cfg.Scenario, w.Deployment, w.Mapping, w.Metros)
 		if err != nil {
 			return nil, fmt.Errorf("sim: compiling fault scenario: %w", err)
 		}
@@ -261,15 +223,15 @@ func buildWorldRange(cfg Config, lo, hi int) (*World, error) {
 	return w, nil
 }
 
-// BuildAnalysisWorld constructs the population-free slice of the world:
+// BuildAnalysisWorld constructs the population-free half of the world:
 // deployment, ISPs, router, latency model, geolocation database and
 // authority — everything the experiment aggregators and report renderers
-// consult, and nothing that scales with Prefixes. The distributed
-// coordinator uses it to merge and render shard partials without paying
-// for (or holding) a multi-million-client population; the sub-seeds are
-// the same ones BuildWorld derives, so every shared component is
-// identical to the workers' full builds. Population, Mapping, Executor
-// and Faults are nil: the returned world cannot simulate days.
+// consult, and nothing that scales with Prefixes. Every full and shard
+// build starts from it, so the distributed coordinator, which merges and
+// renders shard partials over it without holding a multi-million-client
+// population, shares each component and sub-seed with its workers by
+// construction. Population, Mapping, Executor and Faults are nil: the
+// returned world cannot simulate days.
 func BuildAnalysisWorld(cfg Config) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -46,8 +46,8 @@ func TestStreamPassiveMatchesRun(t *testing.T) {
 		day    int
 	}
 	want := map[key]int{}
-	for c := full.Passive.Cursor(); c.Next(); {
-		r := c.Record()
+	for i := range full.Passive.Len() {
+		r := full.Passive.At(i)
 		want[key{r.ClientID, r.Day}] = r.Queries
 	}
 	err := sim.Stream(full.Cfg, func(d sim.DayResult) error {

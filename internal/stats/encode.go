@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file is the wire layer of the streaming accumulators: the
@@ -58,6 +59,9 @@ func getF64(data []byte) (float64, []byte, error) {
 // reproduces exactly the insertion order a sequential pass would have
 // produced — the property the distributed merge's byte-identity rests on.
 func (b *ECDFBuilder[T]) Encode(dst []byte) []byte {
+	// Grow once: a worker's frame buffer is reused for every later day,
+	// so append's doubling would keep up to twice the day-0 bytes alive.
+	dst = slices.Grow(dst, 9+16*len(b.xs))
 	dst = append(dst, ecdfMagic)
 	dst = putU64(dst, uint64(len(b.xs)))
 	for i := range b.xs {
@@ -86,7 +90,7 @@ func (b *ECDFBuilder[T]) MergeEncoded(data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(data)) < 16*n {
+	if uint64(len(data))/16 < n {
 		return nil, fmt.Errorf("%w: truncated ECDF builder payload", ErrEncoding)
 	}
 	b.Grow(int(n))

@@ -132,6 +132,8 @@ func TestECDFBuilderDecodeErrors(t *testing.T) {
 		"bad magic":         {0x00, 1, 2, 3},
 		"truncated header":  {ecdfMagic, 1, 2},
 		"truncated payload": append((&ECDFBuilder[float64]{xs: []float64{1}, ws: []float64{1}}).Encode(nil)[:12], 0),
+		// 16·2^60 wraps to 0: the count must not pass the length check.
+		"count overflow": append([]byte{ecdfMagic}, 0, 0, 0, 0, 0, 0, 0, 0x10),
 	}
 	for name, data := range cases {
 		if _, err := b.Decode(data); err == nil {
@@ -294,4 +296,38 @@ func TestSketchMergeEncodedSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("MergeEncoded allocates %v per op, want 0", allocs)
 	}
+}
+
+// FuzzECDFBuilderMergeEncoded: any input merges or errors; nothing
+// panics, and a successful merge consumes 16 bytes per sample.
+func FuzzECDFBuilderMergeEncoded(f *testing.F) {
+	f.Add(randBuilder(xrand.New(606), 5).Encode(nil))
+	f.Add((&ECDFBuilder[float64]{}).Encode(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var b ECDFBuilder[float64]
+		rest, err := b.MergeEncoded(data)
+		if err == nil && 9+16*b.Len()+len(rest) != len(data) {
+			t.Fatalf("%d samples and %d spare bytes from %d bytes", b.Len(), len(rest), len(data))
+		}
+	})
+}
+
+// FuzzQuantileSketchMergeEncoded: any input merges or errors against a
+// fixed layout; nothing panics.
+func FuzzQuantileSketchMergeEncoded(f *testing.F) {
+	mk := func() *QuantileSketch[float64] {
+		s, err := NewLogQuantileSketch[float64](0.5, 4096, 64)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return s
+	}
+	seed := mk()
+	seed.Add(3)
+	seed.Add(900)
+	f.Add(seed.Encode(nil))
+	f.Add(mk().Encode(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = mk().MergeEncoded(data)
+	})
 }
