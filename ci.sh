@@ -28,10 +28,12 @@
 #      writes), and the 4M-prefix x 30-day x 4-worker distributed smoke
 #      with its 2 GiB per-worker peak-RSS budget
 #   5. fuzz smoke: 5 seconds each on the DNS wire decoder, the /24
-#      parser, the fault-scenario parser, and every decoder on the
-#      distributed-run boundary (the ECDF builder and quantile sketch
-#      merges, the load-matrix and site-map decoders, the shard-day
-#      merge), enough to replay the corpus and shake out shallow panics
+#      parser, the fault-scenario parser, the prepared-target geometry
+#      kernel (against brute-force distance ranking), and every decoder
+#      on the distributed-run boundary (the frame reader, the ECDF
+#      builder and quantile sketch merges, the load-matrix and site-map
+#      decoders, the shard-day merge), enough to replay the corpus and
+#      shake out shallow panics
 #   6. race detector over the concurrent packages: the dnswire servers,
 #      the parallel simulation core, the fault-injection layer, the
 #      loopback testbed, the HTTP front-ends, the client population
@@ -126,6 +128,8 @@ echo '== fuzz smoke (5s per target)'
 go test -run '^$' -fuzz FuzzMessageUnpack -fuzztime 5s ./internal/dnswire/
 go test -run '^$' -fuzz FuzzParsePrefix24 -fuzztime 5s ./internal/netaddr/
 go test -run '^$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/faults/
+go test -run '^$' -fuzz '^FuzzTargetsMatchReference$' -fuzztime 5s ./internal/geo/
+go test -run '^$' -fuzz '^FuzzFrameRead$' -fuzztime 5s ./internal/distsim/
 go test -run '^$' -fuzz '^FuzzECDFBuilderMergeEncoded$' -fuzztime 5s ./internal/stats/
 go test -run '^$' -fuzz '^FuzzQuantileSketchMergeEncoded$' -fuzztime 5s ./internal/stats/
 go test -run '^$' -fuzz '^FuzzDecodeMatrix$' -fuzztime 5s ./internal/distsim/

@@ -46,13 +46,17 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"time"
 
+	"anycastcdn/internal/beacon"
+	"anycastcdn/internal/clients"
 	"anycastcdn/internal/distsim"
 	"anycastcdn/internal/experiments"
 	"anycastcdn/internal/faults"
 	"anycastcdn/internal/load"
+	"anycastcdn/internal/logs"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/topology"
 )
@@ -159,10 +163,22 @@ func loadScenario(arg string) (*faults.Scenario, error) {
 	return &sc, nil
 }
 
-// csvFile couples a buffered writer with its file for clean teardown.
+// csvFile couples a buffered writer with its file for clean teardown,
+// and carries the line buffer its per-record rows are built in.
 type csvFile struct {
-	f *os.File
-	w *bufio.Writer
+	f    *os.File
+	w    *bufio.Writer
+	line []byte // empty between rows; reused so a row costs no allocation
+}
+
+// writeRow writes a row appended to c.line and keeps the grown buffer for
+// the next row:
+//
+//	err := c.writeRow(appendPassiveRow(c.line, r))
+func (c *csvFile) writeRow(row []byte) error {
+	c.line = row[:0]
+	_, err := c.w.Write(row)
+	return err
 }
 
 func createCSV(dir, name, header string) (*csvFile, error) {
@@ -323,20 +339,12 @@ func run(seed uint64, prefixes, days int, out, scenario, loadpolicy string, repo
 	err = sim.StreamWorld(cfg, w, func(d sim.DayResult) error {
 		for _, m := range d.Beacons {
 			nBeacons++
-			_, err := fmt.Fprintf(beacons.w, "%d,%d,%d,%s,%d,%d,%.0f,%d,%.0f,%d,%.0f,%d,%.0f\n",
-				d.Day, m.QueryID, m.ClientID, m.Region, m.LDNS,
-				m.Anycast.Site, m.Anycast.RTTms,
-				m.Unicast[0].Site, m.Unicast[0].RTTms,
-				m.Unicast[1].Site, m.Unicast[1].RTTms,
-				m.Unicast[2].Site, m.Unicast[2].RTTms)
-			if err != nil {
+			if err := beacons.writeRow(appendBeaconRow(beacons.line, d.Day, m)); err != nil {
 				return err
 			}
 		}
 		for _, r := range d.Passive {
-			_, err := fmt.Fprintf(passive.w, "%d,%d,%d,%t,%d,%d\n",
-				r.Day, r.ClientID, r.FrontEnd, r.Switched, r.PrevFrontEnd, r.Queries)
-			if err != nil {
+			if err := passive.writeRow(appendPassiveRow(passive.line, r)); err != nil {
 				return err
 			}
 		}
@@ -440,13 +448,88 @@ func writeClients(dir string, w *sim.World) error {
 		return err
 	}
 	for _, cl := range w.Population.Clients {
-		if _, err := fmt.Fprintf(c.w, "%d,%s,%.4f,%.4f,%s,%s,%s,%d,%.4f\n",
-			cl.ID, cl.Prefix, cl.Point.Lat, cl.Point.Lon, cl.Metro, cl.Region, cl.Country, cl.ISP, cl.Volume); err != nil {
+		if err := c.writeRow(appendClientRow(c.line, cl)); err != nil {
 			c.close()
 			return err
 		}
 	}
 	return c.close()
+}
+
+// The per-record rows are built with strconv rather than fmt: a run
+// writes one passive row per client-day and one beacon row per execution.
+// Each builder produces exactly the bytes of the fmt verb noted beside
+// its field (%.Nf is AppendFloat's 'f' format at precision N).
+
+// appendBeaconRow appends one beacons.csv row:
+// "%d,%d,%d,%s,%d,%d,%.0f,%d,%.0f,%d,%.0f,%d,%.0f\n".
+func appendBeaconRow(b []byte, day int, m beacon.Measurement) []byte {
+	b = strconv.AppendInt(b, int64(day), 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, m.QueryID, 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, m.ClientID, 10)
+	b = append(b, ',')
+	b = append(b, m.Region...)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(m.LDNS), 10)
+	b = appendSample(b, m.Anycast)
+	for _, u := range m.Unicast {
+		b = appendSample(b, u)
+	}
+	return append(b, '\n')
+}
+
+// appendSample appends ",site,rtt" with the RTT as %.0f.
+func appendSample(b []byte, s beacon.TargetSample) []byte {
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(s.Site), 10)
+	b = append(b, ',')
+	return strconv.AppendFloat(b, s.RTTms.Float(), 'f', 0, 64)
+}
+
+// appendPassiveRow appends one passive.csv row: "%d,%d,%d,%t,%d,%d\n".
+func appendPassiveRow(b []byte, r logs.DayRecord) []byte {
+	b = strconv.AppendInt(b, int64(r.Day), 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, r.ClientID, 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(r.FrontEnd), 10)
+	b = append(b, ',')
+	b = strconv.AppendBool(b, r.Switched)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(r.PrevFrontEnd), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(r.Queries), 10)
+	return append(b, '\n')
+}
+
+// appendClientRow appends one clients.csv row:
+// "%d,%s,%.4f,%.4f,%s,%s,%s,%d,%.4f\n", the prefix as a.b.c.0/24.
+func appendClientRow(b []byte, c clients.Client) []byte {
+	b = strconv.AppendUint(b, c.ID, 10)
+	b = append(b, ',')
+	p1, p2, p3 := c.Prefix.Octets()
+	b = strconv.AppendUint(b, uint64(p1), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(p2), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(p3), 10)
+	b = append(b, ".0/24,"...)
+	b = strconv.AppendFloat(b, c.Point.Lat, 'f', 4, 64)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, c.Point.Lon, 'f', 4, 64)
+	b = append(b, ',')
+	b = append(b, c.Metro...)
+	b = append(b, ',')
+	b = append(b, c.Region...)
+	b = append(b, ',')
+	b = append(b, c.Country...)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(c.ISP), 10)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, c.Volume, 'f', 4, 64)
+	return append(b, '\n')
 }
 
 func writeFrontEnds(dir string, w *sim.World) error {

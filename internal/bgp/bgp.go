@@ -245,10 +245,12 @@ func (r *Router) IngressSchedule(c Client, days int) []topology.SiteID {
 // IngressScheduleInto fills out[d] with the client's ingress on day d, for
 // d in [0, len(out)) — IngressSchedule without the allocation, for callers
 // (the streaming simulation) that pack all clients' schedules into one
-// flat array instead of holding a slice per client. The peering ranking is
+// flat array instead of holding a slice per client — and returns the base
+// ingress the schedule starts from, BaseIngress(c). The peering ranking is
 // computed once here and reused for the base choice and every switch day,
-// so extra simulated days cost no extra ranking work (and no allocations).
-func (r *Router) IngressScheduleInto(c Client, out []topology.SiteID) {
+// so extra simulated days cost no extra ranking work (and no allocations),
+// and a caller that also needs the base ingress need not rank again.
+func (r *Router) IngressScheduleInto(c Client, out []topology.SiteID) topology.SiteID {
 	isp := r.isps.ISP(c.ISP)
 	var rbuf [rankBufSites]topology.SiteID
 	ranked := r.backbone.RankPeeringByAirInto(c.Point, rbuf[:0])
@@ -258,12 +260,14 @@ func (r *Router) IngressScheduleInto(c Client, out []topology.SiteID) {
 	} else {
 		cur = r.baseIngressRanked(c, isp, ranked)
 	}
+	base := cur
 	for d := range out {
 		if r.SwitchedOnDay(c, d) {
 			cur = r.alternativeIngress(ranked, c, d, cur)
 		}
 		out[d] = cur
 	}
+	return base
 }
 
 // Assign resolves a full assignment from an ingress.

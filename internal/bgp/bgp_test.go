@@ -244,6 +244,31 @@ func TestIngressScheduleConsistency(t *testing.T) {
 	}
 }
 
+// TestIngressScheduleReturnsBaseIngress: the base ingress the schedule
+// builder returns is BaseIngress, for every egress policy, so callers
+// that need both rank each client once.
+func TestIngressScheduleReturnsBaseIngress(t *testing.T) {
+	b, isps := buildWorld(t)
+	r := NewRouter(b, isps, 42, DefaultConfig())
+	metros := geo.World()
+	sched := make([]topology.SiteID, 10)
+	seen := map[topology.EgressPolicy]bool{}
+	for i := 0; i < 3000; i++ {
+		m := metros[i%len(metros)]
+		isp := topology.ISPID(i % isps.Len())
+		c := Client{PrefixID: uint64(i), Point: m.Offset(50, float64(i%360)), ISP: isp}
+		seen[isps.ISP(isp).Policy] = true
+		if got, want := r.IngressScheduleInto(c, sched), r.BaseIngress(c); got != want {
+			t.Fatalf("client %d (%v): schedule base ingress %d, BaseIngress %d", i, isps.ISP(isp).Policy, got, want)
+		}
+	}
+	for _, p := range []topology.EgressPolicy{topology.HotPotato, topology.Centralized, topology.TieBreak} {
+		if !seen[p] {
+			t.Errorf("no client exercised policy %v", p)
+		}
+	}
+}
+
 func TestSwitchChangesIngress(t *testing.T) {
 	b, isps := buildWorld(t)
 	r := NewRouter(b, isps, 42, DefaultConfig())

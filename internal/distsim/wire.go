@@ -19,6 +19,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -99,15 +100,29 @@ func (f *frameConn) read(deadline time.Time) (frameType, []byte, error) {
 	if n > maxFramePayload {
 		return 0, nil, fmt.Errorf("distsim: frame payload %d exceeds protocol cap", n)
 	}
-	if cap(f.rbuf) < int(n) {
-		f.rbuf = make([]byte, n)
+	// The buffer grows only as payload bytes actually arrive, at most
+	// frameReadStep ahead of them, so a corrupt length prefix costs a
+	// failed read, not an allocation of the size it claims. A buffer
+	// already large enough (the steady state) is filled in one read.
+	buf := f.rbuf[:0]
+	for len(buf) < int(n) {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(int(n)-len(buf), frameReadStep))
+		}
+		k, err := io.ReadFull(f.conn, buf[len(buf):min(int(n), cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			f.rbuf = buf[:0]
+			return 0, nil, fmt.Errorf("distsim: reading frame payload (%d of %d bytes): %w", len(buf), n, err)
+		}
 	}
-	f.rbuf = f.rbuf[:n]
-	if _, err := io.ReadFull(f.conn, f.rbuf); err != nil {
-		return 0, nil, fmt.Errorf("distsim: reading frame payload: %w", err)
-	}
-	return t, f.rbuf, nil
+	f.rbuf = buf
+	return t, buf, nil
 }
+
+// frameReadStep bounds how far read grows its buffer past the payload
+// bytes received so far.
+const frameReadStep = 256 << 10
 
 // readData returns the next non-heartbeat frame. Heartbeats prove the
 // peer process is alive but deliberately do NOT extend the deadline: the

@@ -47,7 +47,17 @@ type catchmentFE struct {
 }
 
 func newCatchmentAgg(w *sim.World) *catchmentAgg {
-	return &catchmentAgg{w: w}
+	// At most one row per client, reserved up front as in figure4Agg.
+	return &catchmentAgg{w: w, rows: make([]catchmentRow, 0, numClients(w))}
+}
+
+// numClients is the number of clients w materializes; an analysis world
+// (a distributed run's coordinator) has none.
+func numClients(w *sim.World) int {
+	if w.Population == nil {
+		return 0
+	}
+	return len(w.Population.Clients)
 }
 
 func (a *catchmentAgg) observe(r logs.DayRecord) {

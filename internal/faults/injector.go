@@ -133,17 +133,19 @@ func (inj *Injector) compileLDNSFallback(mapping *dns.Mapping, metros []geo.Metr
 	for i, p := range publics {
 		pts[i] = p.Point
 	}
+	publicTargets := geo.NewTargets(pts)
 	metroPts := make([]geo.Point, len(metros))
 	for i, m := range metros {
 		metroPts[i] = m.Point
 	}
+	metroTargets := geo.NewTargets(metroPts)
 	inj.ldnsFallback = make(map[dns.LDNSID]fallback)
 	for _, l := range mapping.Resolvers {
 		if l.Kind == dns.Public {
 			continue // public resolvers are the fallback, not the casualty
 		}
-		mi, _ := geo.NearestIndex(l.Point, metroPts)
-		pi, _ := geo.NearestIndex(l.Point, pts)
+		mi, _ := metroTargets.Nearest(l.Point)
+		pi, _ := publicTargets.Nearest(l.Point)
 		inj.ldnsFallback[l.ID] = fallback{region: metros[mi].Region, ldns: publics[pi]}
 	}
 	return nil

@@ -101,7 +101,8 @@ func ShardLoadMatrix(cfg Config, w *World, lo, hi int) ([]float64, error) {
 		rc := bgp.Client{PrefixID: cl.ID, Point: cl.Point, ISP: cl.ISP}
 		w.Router.IngressScheduleInto(rc, sched)
 		for d, ing := range sched {
-			f := feIdx[w.Router.Assign(rc, ing).FrontEnd]
+			fe, _ := bb.HotPotatoFrontEnd(ing)
+			f := feIdx[fe]
 			m[d*len(fes)+f] += float64(cl.QueriesOnDay(trafficSeed, d, weekend[d], cfg.QueriesPerVolume))
 		}
 	}

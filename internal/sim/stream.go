@@ -134,14 +134,15 @@ func streamRange(cfg Config, w *World, opts ShardOpts, fn func(DayResult) error)
 	// plus the fault rewrite recompute the rest per day.
 	scheds := make([]topology.SiteID, n*days)
 	// prevFE[i] is client i's serving front-end at the end of the previous
-	// day (the base assignment before day 0), carried across days for the
-	// passive log's switch records.
+	// day (the hot-potato front-end of the base ingress before day 0),
+	// carried across days for the passive log's switch records.
 	prevFE := make([]topology.SiteID, n)
+	bb := w.Router.Backbone()
 	parallelFor(n, cfg.Workers, func(i int) {
 		c := cl[i]
 		rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
-		w.Router.IngressScheduleInto(rc, scheds[i*days:(i+1)*days])
-		prevFE[i] = w.Router.Assign(rc, w.Router.BaseIngress(rc)).FrontEnd
+		base := w.Router.IngressScheduleInto(rc, scheds[i*days:(i+1)*days])
+		prevFE[i], _ = bb.HotPotatoFrontEnd(base)
 	})
 
 	// Per-day output buffers, reused across days. The beacon buffer grows
