@@ -162,7 +162,7 @@ func TestPathReconstruction(t *testing.T) {
 func TestNearestSiteByAir(t *testing.T) {
 	b := mustBuild(t)
 	boston, _ := geo.FindMetro("boston")
-	id, d := b.NearestSiteByAir(boston.Point, true)
+	id, d := b.NearestSiteByAir(boston.Point)
 	if b.Site(id).Metro.Name != "new-york" {
 		t.Fatalf("nearest peering to boston = %s", b.Site(id).Metro.Name)
 	}
@@ -172,7 +172,7 @@ func TestNearestSiteByAir(t *testing.T) {
 	// Moscow is a backbone-only site: with onlyPeering, the nearest peering
 	// site from moscow must be elsewhere (stockholm).
 	moscow, _ := geo.FindMetro("moscow")
-	id, _ = b.NearestSiteByAir(moscow.Point, true)
+	id, _ = b.NearestSiteByAir(moscow.Point)
 	if b.Site(id).Metro.Name != "stockholm" {
 		t.Fatalf("nearest peering to moscow = %s, want stockholm", b.Site(id).Metro.Name)
 	}
