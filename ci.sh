@@ -29,7 +29,9 @@
 #      with its 2 GiB per-worker peak-RSS budget
 #   5. fuzz smoke: 5 seconds each on the DNS wire decoder, the /24
 #      parser, the fault-scenario parser, the prepared-target geometry
-#      kernel (against brute-force distance ranking), and every decoder
+#      kernel (against brute-force distance ranking), the §6 predictor's
+#      day index (training and evaluation against the map-based
+#      references), and every decoder
 #      on the distributed-run boundary (the frame reader, the ECDF
 #      builder and quantile sketch merges, the load-matrix and site-map
 #      decoders, the shard-day merge), enough to replay the corpus and
@@ -45,15 +47,18 @@
 #   8. benchmarks at -benchtime=1x, summarized by cmd/benchjson into the
 #      machine-readable artifact BENCH_repro.json and gated against the
 #      checked-in BENCH_baseline.json: the baseline's benchmarks may not
-#      regress past 15%, BenchmarkAblationFloor50 must stay >= 3x faster
-#      than its pre-optimization baseline, the xrand substream and
-#      latency sampling benchmarks must report 0 allocs/op, and the
-#      simulation cores must stay at least 3x below their pre-columnar
-#      B/op (RunWorld/StreamWorld baseline was ~223 MB/op; the ceiling is
-#      74 MB/op), and the whole-fleet distributed run must stay under
-#      65 MB/op (frame buffers are reused, so the bill is dominated by
-#      the two worker world builds); a failure names the benchmark and
-#      both the baseline and current values
+#      regress past 15%, the xrand substream and latency sampling
+#      benchmarks must report 0 allocs/op, the simulation cores must stay
+#      at least 3x below their pre-columnar B/op (RunWorld/StreamWorld
+#      baseline was ~223 MB/op; the ceiling is 74 MB/op), the
+#      whole-fleet distributed run must stay under 55 MB/op (frame
+#      buffers are reused, so the bill is dominated by the two worker
+#      world builds), and Figure 9 over its per-day index must stay under
+#      120 MB/op (574 MB/op before the index); a failure names the
+#      benchmark and both the baseline and current values. The same run
+#      holds Figure 9's headline and every predictor ablation's
+#      improved/worse split inside bands of +/-0.5 percentage points
+#      around the reference values recorded in EXPERIMENTS.md
 #
 # Usage: ./ci.sh
 set -eu
@@ -129,6 +134,7 @@ go test -run '^$' -fuzz FuzzMessageUnpack -fuzztime 5s ./internal/dnswire/
 go test -run '^$' -fuzz FuzzParsePrefix24 -fuzztime 5s ./internal/netaddr/
 go test -run '^$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/faults/
 go test -run '^$' -fuzz '^FuzzTargetsMatchReference$' -fuzztime 5s ./internal/geo/
+go test -run '^$' -fuzz '^FuzzDayMatchesReference$' -fuzztime 5s ./internal/core/
 go test -run '^$' -fuzz '^FuzzFrameRead$' -fuzztime 5s ./internal/distsim/
 go test -run '^$' -fuzz '^FuzzECDFBuilderMergeEncoded$' -fuzztime 5s ./internal/stats/
 go test -run '^$' -fuzz '^FuzzQuantileSketchMergeEncoded$' -fuzztime 5s ./internal/stats/
@@ -148,12 +154,23 @@ awk -v t="$total" 'BEGIN {
 	printf "faults+sim+analysis+load coverage: %.1f%% (floor 80%%)\n", t
 }'
 
-echo '== benchmarks at -benchtime=1x, gated against BENCH_baseline.json (artifact: BENCH_repro.json)'
+echo '== benchmarks at -benchtime=1x, gated against BENCH_baseline.json and headline bands (artifact: BENCH_repro.json)'
+# Headline bands: each reference value in EXPERIMENTS.md ("Headline
+# bands") +/-0.5 percentage points.
+bands=BenchmarkFigure9.pct-weighted-improved=13.5:14.5
+bands=$bands,BenchmarkAblationMetricP25.pct-improved=13.5:14.5,BenchmarkAblationMetricP25.pct-worse=4.2:5.2
+bands=$bands,BenchmarkAblationMetricMedian.pct-improved=13.4:14.4,BenchmarkAblationMetricMedian.pct-worse=5.5:6.5
+bands=$bands,BenchmarkAblationMetricP75.pct-improved=13.1:14.1,BenchmarkAblationMetricP75.pct-worse=10.8:11.8
+bands=$bands,BenchmarkAblationMetricP95.pct-improved=10.2:11.2,BenchmarkAblationMetricP95.pct-worse=44.2:45.2
+bands=$bands,BenchmarkAblationFloor5.pct-improved=16.4:17.4,BenchmarkAblationFloor5.pct-worse=5.9:6.9
+bands=$bands,BenchmarkAblationFloor50.pct-improved=9.4:10.4,BenchmarkAblationFloor50.pct-worse=2.3:3.3
+bands=$bands,BenchmarkAblationHybridMargin10.pct-improved=6.6:7.6,BenchmarkAblationHybridMargin10.pct-worse=1.7:2.7
+bands=$bands,BenchmarkAblationHybridMargin25.pct-improved=5.2:6.2,BenchmarkAblationHybridMargin25.pct-worse=0.8:1.8
 go test -run '^$' -bench . -benchtime 1x -json ./... | go run ./cmd/benchjson \
 	-o BENCH_repro.json \
 	-compare BENCH_baseline.json -tolerance 0.15 \
-	-minspeedup BenchmarkAblationFloor50=3 \
 	-maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0 \
-	-maxbytes BenchmarkRunWorld=74000000,BenchmarkStreamWorld=74000000,BenchmarkDistWorld=55000000
+	-maxbytes BenchmarkRunWorld=74000000,BenchmarkStreamWorld=74000000,BenchmarkDistWorld=55000000,BenchmarkFigure9=120000000 \
+	-band "$bands"
 
 echo '== ci.sh: all gates passed'

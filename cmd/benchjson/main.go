@@ -11,17 +11,25 @@
 // offending benchmark with its baseline and current ns/op:
 //
 //	... | benchjson -o BENCH_repro.json -compare BENCH_baseline.json -tolerance 0.15 \
-//	        -minspeedup BenchmarkAblationFloor50=3 \
-//	        -maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0
+//	        -maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0 \
+//	        -maxbytes BenchmarkFigure9=120000000
 //
 // Three checks run, all against the current results:
 //   - every benchmark named in the baseline must not exceed its baseline
 //     ns/op by more than -tolerance (fractional; 0.15 = +15%);
-//   - each -minspeedup entry must be at least that factor faster than its
-//     baseline ns/op (locks in an optimization instead of merely bounding
-//     regression);
 //   - each -maxallocs entry's allocs/op metric must not exceed the given
-//     count (requires b.ReportAllocs in the benchmark).
+//     count (requires b.ReportAllocs in the benchmark);
+//   - each -maxbytes entry's B/op metric must not exceed the given count.
+//
+// With -band, benchjson also holds the headline metrics benchmarks report
+// through b.ReportMetric inside closed intervals, so a change in the
+// reproduction's results fails the run even when its speed does not:
+//
+//	... | benchjson -band BenchmarkFigure9.pct-weighted-improved=13.5:14.5
+//
+// A band keyed Benchmark.metric applies to that benchmark; one keyed by a
+// bare metric name applies to every benchmark that reports the metric.
+// Either way at least one benchmark must report it.
 package main
 
 import (
@@ -58,9 +66,9 @@ func main() {
 		out       = flag.String("o", "BENCH_repro.json", "output file")
 		compare   = flag.String("compare", "", "baseline JSON file to gate against (empty = no gate)")
 		tolerance = flag.Float64("tolerance", 0.15, "allowed fractional ns/op regression versus baseline")
-		minSpeed  = flag.String("minspeedup", "", "comma-separated Benchmark=factor minimum speedups versus baseline")
 		maxAlloc  = flag.String("maxallocs", "", "comma-separated Benchmark=count allocs/op ceilings")
 		maxBytes  = flag.String("maxbytes", "", "comma-separated Benchmark=count B/op ceilings")
+		bands     = flag.String("band", "", "comma-separated [Benchmark.]metric=lo:hi bands for reported metrics")
 	)
 	flag.Parse()
 	results, err := run(os.Stdin, *out)
@@ -68,18 +76,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	if *compare == "" {
-		return
-	}
-	baseline, err := loadBaseline(*compare)
+	failures, err := checkBands(results, *bands)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	failures, err := gate(results, baseline, *tolerance, *minSpeed, *maxAlloc, *maxBytes)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+	var baseline []result
+	if *compare != "" {
+		if baseline, err = loadBaseline(*compare); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		gated, err := gate(results, baseline, *tolerance, *maxAlloc, *maxBytes)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		failures = append(failures, gated...)
 	}
 	if len(failures) > 0 {
 		for _, f := range failures {
@@ -87,8 +100,10 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("benchjson: gate passed against %s (%d baseline benchmarks, tolerance %.0f%%)\n",
-		*compare, len(baseline), *tolerance*100)
+	if *compare != "" {
+		fmt.Printf("benchjson: gate passed against %s (%d baseline benchmarks, tolerance %.0f%%)\n",
+			*compare, len(baseline), *tolerance*100)
+	}
 }
 
 func run(in io.Reader, outPath string) ([]result, error) {
@@ -212,18 +227,14 @@ func parseRequirements(spec string) (map[string]float64, error) {
 }
 
 // gate checks current results against the baseline and the explicit
-// speedup/allocation/byte requirements, returning one message per
-// violation. Baseline entries are matched by (package, name): a
-// same-named benchmark in a different package must not satisfy — and so
-// silently mask the deletion of — a gated benchmark. The requirement
-// specs (-minspeedup, -maxallocs, -maxbytes) stay keyed by bare name for
-// CLI ergonomics; a bare name that matches several packages applies the
-// requirement to every match.
-func gate(current, baseline []result, tolerance float64, minSpeedSpec, maxAllocSpec, maxBytesSpec string) ([]string, error) {
-	minSpeed, err := parseRequirements(minSpeedSpec)
-	if err != nil {
-		return nil, err
-	}
+// allocation/byte requirements, returning one message per violation.
+// Baseline entries are matched by (package, name): a same-named
+// benchmark in a different package must not satisfy — and so silently
+// mask the deletion of — a gated benchmark. The requirement specs
+// (-maxallocs, -maxbytes) stay keyed by bare name for CLI ergonomics; a
+// bare name that matches several packages applies the requirement to
+// every match.
+func gate(current, baseline []result, tolerance float64, maxAllocSpec, maxBytesSpec string) ([]string, error) {
 	maxAlloc, err := parseRequirements(maxAllocSpec)
 	if err != nil {
 		return nil, err
@@ -241,7 +252,6 @@ func gate(current, baseline []result, tolerance float64, minSpeedSpec, maxAllocS
 		byName[name] = append(byName[name], r)
 	}
 	var failures []string
-	speedChecked := map[string]bool{}
 	for _, base := range baseline {
 		name := benchName(base.Name)
 		r, ok := cur[benchKey{base.Package, name}]
@@ -254,21 +264,6 @@ func gate(current, baseline []result, tolerance float64, minSpeedSpec, maxAllocS
 			failures = append(failures, fmt.Sprintf(
 				"%s regressed: baseline %.0f ns/op, current %.0f ns/op (%+.0f%%, tolerance %.0f%%)",
 				name, base.NsPerOp, r.NsPerOp, (r.NsPerOp/base.NsPerOp-1)*100, tolerance*100))
-		}
-		if factor, want := minSpeed[name]; want {
-			speedChecked[name] = true
-			if r.NsPerOp*factor > base.NsPerOp {
-				failures = append(failures, fmt.Sprintf(
-					"%s speedup %.2fx is below the required %.2fx: baseline %.0f ns/op, current %.0f ns/op",
-					name, base.NsPerOp/r.NsPerOp, factor, base.NsPerOp, r.NsPerOp))
-			}
-		}
-	}
-	// Any minspeedup entries left over name benchmarks absent from the
-	// baseline — that is a configuration error worth failing loudly on.
-	for name := range minSpeed {
-		if !speedChecked[name] {
-			failures = append(failures, fmt.Sprintf("%s: -minspeedup given but benchmark is not in the baseline", name))
 		}
 	}
 	checkMetric := func(spec map[string]float64, flagName, unit, verb string) {
@@ -293,6 +288,78 @@ func gate(current, baseline []result, tolerance float64, minSpeedSpec, maxAllocS
 	}
 	checkMetric(maxAlloc, "-maxallocs", "allocs/op", "allocates")
 	checkMetric(maxBytes, "-maxbytes", "B/op", "allocates")
+	sort.Strings(failures)
+	return failures, nil
+}
+
+// band is one -band entry: bench is empty for a bare metric name.
+type band struct {
+	bench, metric string
+	lo, hi        float64
+}
+
+// parseBands parses "[Benchmark.]metric=lo:hi" lists.
+func parseBands(spec string) ([]band, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	var out []band
+	for _, part := range strings.Split(spec, ",") {
+		key, rng, ok := strings.Cut(strings.TrimSpace(part), "=")
+		loStr, hiStr, ok2 := strings.Cut(rng, ":")
+		if !ok || !ok2 || key == "" {
+			return nil, fmt.Errorf("malformed band %q (want [Benchmark.]metric=lo:hi)", part)
+		}
+		lo, err := strconv.ParseFloat(loStr, 64)
+		if err != nil {
+			return nil, fmt.Errorf("malformed band low bound in %q: %w", part, err)
+		}
+		hi, err := strconv.ParseFloat(hiStr, 64)
+		if err != nil {
+			return nil, fmt.Errorf("malformed band high bound in %q: %w", part, err)
+		}
+		if lo > hi {
+			return nil, fmt.Errorf("band %q is empty: %g > %g", part, lo, hi)
+		}
+		b := band{metric: key, lo: lo, hi: hi}
+		if bench, metric, qualified := strings.Cut(key, "."); qualified {
+			b.bench, b.metric = bench, metric
+		}
+		out = append(out, b)
+	}
+	return out, nil
+}
+
+// checkBands returns one message per reported metric outside its band,
+// and per band that no benchmark reported.
+func checkBands(current []result, spec string) ([]string, error) {
+	bands, err := parseBands(spec)
+	if err != nil {
+		return nil, err
+	}
+	var failures []string
+	for _, b := range bands {
+		seen := false
+		for _, r := range current {
+			name := benchName(r.Name)
+			v, ok := r.Metrics[b.metric]
+			if !ok || (b.bench != "" && name != b.bench) {
+				continue
+			}
+			seen = true
+			if v < b.lo || v > b.hi {
+				failures = append(failures, fmt.Sprintf(
+					"%s %s = %g is outside its band [%g, %g]", name, b.metric, v, b.lo, b.hi))
+			}
+		}
+		if !seen {
+			key := b.metric
+			if b.bench != "" {
+				key = b.bench + "." + b.metric
+			}
+			failures = append(failures, fmt.Sprintf("%s: -band given but no benchmark reported it", key))
+		}
+	}
 	sort.Strings(failures)
 	return failures, nil
 }

@@ -91,12 +91,12 @@ func bench(name string, ns float64, metrics map[string]float64) result {
 func TestGateTolerance(t *testing.T) {
 	baseline := []result{bench("BenchmarkA", 1000, nil)}
 
-	fails, err := gate([]result{bench("BenchmarkA-8", 1100, nil)}, baseline, 0.15, "", "", "")
+	fails, err := gate([]result{bench("BenchmarkA-8", 1100, nil)}, baseline, 0.15, "", "")
 	if err != nil || len(fails) != 0 {
 		t.Fatalf("within tolerance: fails=%v err=%v", fails, err)
 	}
 
-	fails, err = gate([]result{bench("BenchmarkA-8", 1300, nil)}, baseline, 0.15, "", "", "")
+	fails, err = gate([]result{bench("BenchmarkA-8", 1300, nil)}, baseline, 0.15, "", "")
 	if err != nil || len(fails) != 1 {
 		t.Fatalf("regression: fails=%v err=%v", fails, err)
 	}
@@ -105,33 +105,9 @@ func TestGateTolerance(t *testing.T) {
 		t.Errorf("failure must name the benchmark and both ns/op values: %q", fails[0])
 	}
 
-	fails, err = gate(nil, baseline, 0.15, "", "", "")
+	fails, err = gate(nil, baseline, 0.15, "", "")
 	if err != nil || len(fails) != 1 || !strings.Contains(fails[0], "missing from this run") {
 		t.Fatalf("missing benchmark: fails=%v err=%v", fails, err)
-	}
-}
-
-func TestGateMinSpeedup(t *testing.T) {
-	baseline := []result{bench("BenchmarkFloor", 9000, nil)}
-
-	fails, err := gate([]result{bench("BenchmarkFloor-4", 3000, nil)}, baseline, 0.15, "BenchmarkFloor=3", "", "")
-	if err != nil || len(fails) != 0 {
-		t.Fatalf("exactly 3x: fails=%v err=%v", fails, err)
-	}
-
-	fails, err = gate([]result{bench("BenchmarkFloor-4", 4000, nil)}, baseline, 0.15, "BenchmarkFloor=3", "", "")
-	if err != nil || len(fails) != 1 {
-		t.Fatalf("only 2.25x: fails=%v err=%v", fails, err)
-	}
-	if !strings.Contains(fails[0], "BenchmarkFloor") ||
-		!strings.Contains(fails[0], "9000") || !strings.Contains(fails[0], "4000") {
-		t.Errorf("failure must name the benchmark and both ns/op values: %q", fails[0])
-	}
-
-	// A minspeedup target absent from the baseline is a config error.
-	fails, err = gate([]result{bench("BenchmarkFloor-4", 10, nil)}, baseline, 0.15, "BenchmarkGone=2", "", "")
-	if err != nil || len(fails) != 1 || !strings.Contains(fails[0], "BenchmarkGone") {
-		t.Fatalf("unknown minspeedup target: fails=%v err=%v", fails, err)
 	}
 }
 
@@ -142,34 +118,37 @@ func TestGateMaxAllocs(t *testing.T) {
 		bench("BenchmarkSilent-8", 10, nil),
 	}
 
-	fails, err := gate(cur, nil, 0.15, "", "BenchmarkZero=0", "")
+	fails, err := gate(cur, nil, 0.15, "BenchmarkZero=0", "")
 	if err != nil || len(fails) != 0 {
 		t.Fatalf("zero allocs: fails=%v err=%v", fails, err)
 	}
 
-	fails, err = gate(cur, nil, 0.15, "", "BenchmarkLeaky=0", "")
+	fails, err = gate(cur, nil, 0.15, "BenchmarkLeaky=0", "")
 	if err != nil || len(fails) != 1 || !strings.Contains(fails[0], "3 allocs/op") {
 		t.Fatalf("leaky: fails=%v err=%v", fails, err)
 	}
 
 	// A benchmark without ReportAllocs must fail, not silently pass.
-	fails, err = gate(cur, nil, 0.15, "", "BenchmarkSilent=0", "")
+	fails, err = gate(cur, nil, 0.15, "BenchmarkSilent=0", "")
 	if err != nil || len(fails) != 1 || !strings.Contains(fails[0], "ReportAllocs") {
 		t.Fatalf("missing metric: fails=%v err=%v", fails, err)
 	}
 
-	fails, err = gate(cur, nil, 0.15, "", "BenchmarkAbsent=0", "")
+	fails, err = gate(cur, nil, 0.15, "BenchmarkAbsent=0", "")
 	if err != nil || len(fails) != 1 || !strings.Contains(fails[0], "did not run") {
 		t.Fatalf("absent benchmark: fails=%v err=%v", fails, err)
 	}
 }
 
 func TestGateMalformedSpec(t *testing.T) {
-	if _, err := gate(nil, nil, 0.15, "BenchmarkA", "", ""); err == nil {
+	if _, err := gate(nil, nil, 0.15, "BenchmarkA", ""); err == nil {
 		t.Error("want error for spec without '='")
 	}
-	if _, err := gate(nil, nil, 0.15, "", "BenchmarkA=x", ""); err == nil {
+	if _, err := gate(nil, nil, 0.15, "BenchmarkA=x", ""); err == nil {
 		t.Error("want error for non-numeric value")
+	}
+	if _, err := gate(nil, nil, 0.15, "", "BenchmarkA=x"); err == nil {
+		t.Error("want error for non-numeric -maxbytes value")
 	}
 }
 
@@ -182,7 +161,7 @@ func TestGateBaselineMatchedByPackage(t *testing.T) {
 	baseline := []result{{Package: "pkg/a", Name: "BenchmarkShared", Iterations: 1, NsPerOp: 1000}}
 	impostor := []result{{Package: "pkg/b", Name: "BenchmarkShared-8", Iterations: 1, NsPerOp: 10}}
 
-	fails, err := gate(impostor, baseline, 0.15, "", "", "")
+	fails, err := gate(impostor, baseline, 0.15, "", "")
 	if err != nil || len(fails) != 1 {
 		t.Fatalf("same-name bench in another package masked the deletion: fails=%v err=%v", fails, err)
 	}
@@ -193,12 +172,12 @@ func TestGateBaselineMatchedByPackage(t *testing.T) {
 	// The real benchmark in the right package still gates normally, even
 	// with the impostor present.
 	both := append([]result{{Package: "pkg/a", Name: "BenchmarkShared-8", Iterations: 1, NsPerOp: 900}}, impostor...)
-	fails, err = gate(both, baseline, 0.15, "", "", "")
+	fails, err = gate(both, baseline, 0.15, "", "")
 	if err != nil || len(fails) != 0 {
 		t.Fatalf("correct package within tolerance: fails=%v err=%v", fails, err)
 	}
 	both[0].NsPerOp = 5000
-	fails, err = gate(both, baseline, 0.15, "", "", "")
+	fails, err = gate(both, baseline, 0.15, "", "")
 	if err != nil || len(fails) != 1 || !strings.Contains(fails[0], "regressed") {
 		t.Fatalf("regression in the right package must fail despite the fast impostor: fails=%v err=%v", fails, err)
 	}
@@ -210,18 +189,71 @@ func TestGateMaxBytes(t *testing.T) {
 		bench("BenchmarkFat-8", 10, map[string]float64{"B/op": 4096}),
 	}
 
-	fails, err := gate(cur, nil, 0.15, "", "", "BenchmarkLean=2048")
+	fails, err := gate(cur, nil, 0.15, "", "BenchmarkLean=2048")
 	if err != nil || len(fails) != 0 {
 		t.Fatalf("under the byte ceiling: fails=%v err=%v", fails, err)
 	}
 
-	fails, err = gate(cur, nil, 0.15, "", "", "BenchmarkFat=2048")
+	fails, err = gate(cur, nil, 0.15, "", "BenchmarkFat=2048")
 	if err != nil || len(fails) != 1 || !strings.Contains(fails[0], "4096 B/op") {
 		t.Fatalf("over the byte ceiling: fails=%v err=%v", fails, err)
 	}
 
-	fails, err = gate(cur, nil, 0.15, "", "", "BenchmarkAbsent=1")
+	fails, err = gate(cur, nil, 0.15, "", "BenchmarkAbsent=1")
 	if err != nil || len(fails) != 1 || !strings.Contains(fails[0], "did not run") {
 		t.Fatalf("absent benchmark: fails=%v err=%v", fails, err)
+	}
+}
+
+func TestCheckBands(t *testing.T) {
+	cur := []result{
+		bench("BenchmarkFigure9-2", 10, map[string]float64{"pct-weighted-improved": 14}),
+		bench("BenchmarkAblationFloor50-2", 10, map[string]float64{"pct-improved": 9.9, "pct-worse": 2.8}),
+		bench("BenchmarkAblationFloor5-2", 10, map[string]float64{"pct-improved": 15, "pct-worse": 6}),
+	}
+
+	fails, err := checkBands(cur, "BenchmarkFigure9.pct-weighted-improved=13.5:14.5,"+
+		"BenchmarkAblationFloor50.pct-improved=9.9:9.9, pct-worse=2:7")
+	if err != nil || len(fails) != 0 {
+		t.Fatalf("in band: fails=%v err=%v", fails, err)
+	}
+
+	fails, err = checkBands(cur, "BenchmarkFigure9.pct-weighted-improved=14.5:20")
+	if err != nil || len(fails) != 1 {
+		t.Fatalf("below band: fails=%v err=%v", fails, err)
+	}
+	if !strings.Contains(fails[0], "BenchmarkFigure9") || !strings.Contains(fails[0], "14") ||
+		!strings.Contains(fails[0], "[14.5, 20]") {
+		t.Errorf("failure must name the benchmark, the value and the band: %q", fails[0])
+	}
+
+	// A bare metric is checked on every benchmark that reports it.
+	fails, err = checkBands(cur, "pct-improved=9:10")
+	if err != nil || len(fails) != 1 || !strings.Contains(fails[0], "BenchmarkAblationFloor5 ") {
+		t.Fatalf("bare metric out of band on one benchmark: fails=%v err=%v", fails, err)
+	}
+
+	// A band nothing reported is a configuration error, not a pass.
+	for _, spec := range []string{"pct-gone=0:1", "BenchmarkFigure9.pct-improved=0:100", "BenchmarkGone.pct-worse=0:100"} {
+		fails, err = checkBands(cur, spec)
+		if err != nil || len(fails) != 1 || !strings.Contains(fails[0], "no benchmark reported") {
+			t.Fatalf("%s: fails=%v err=%v", spec, fails, err)
+		}
+	}
+}
+
+func TestCheckBandsMalformedSpec(t *testing.T) {
+	for _, spec := range []string{
+		"pct-improved",          // no range
+		"pct-improved=9",        // no ':'
+		"pct-improved=x:10",     // bad low bound
+		"pct-improved=9:y",      // bad high bound
+		"pct-improved=10:9",     // empty band
+		"=1:2",                  // no metric
+		"pct-improved=9:10,bad", // one bad entry spoils the list
+	} {
+		if _, err := checkBands(nil, spec); err == nil {
+			t.Errorf("want error for band spec %q", spec)
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sort"
-
-	"anycastcdn/internal/dns"
 	"anycastcdn/internal/stats"
 	"anycastcdn/internal/units"
 )
@@ -39,39 +36,31 @@ type Evaluator struct {
 
 // Evaluate computes per-client evaluations of pred over the next
 // interval's observations. volumes maps client→query volume; clients
-// missing from it get weight 1.
+// missing from it get weight 1. It indexes next by client alone; see
+// EvaluateDay.
 func (ev Evaluator) Evaluate(pred *Predictions, next []Observation, volumes map[uint64]float64) []Evaluation {
+	var day Day
+	day.byClient.build(next, ByPrefix)
+	return ev.EvaluateDay(pred, &day, volumes)
+}
+
+// EvaluateDay computes per-client evaluations of pred over an indexed next
+// interval, in client id order. Each client is attributed to the LDNS of
+// its last observation that day, which is what an LDNS-grouped prediction
+// is looked up by.
+//
+//perf:hotpath
+func (ev Evaluator) EvaluateDay(pred *Predictions, next *Day, volumes map[uint64]float64) []Evaluation {
 	if ev.Percentile <= 0 || ev.Percentile > 1 {
 		ev.Percentile = 0.5
 	}
 	if ev.MinSamples < 1 {
 		ev.MinSamples = 1
 	}
-	// Index next-interval samples by (client, target).
-	type ckey struct {
-		client uint64
-		target Target
-	}
-	samples := map[ckey][]units.Millis{}
-	ldnsOf := map[uint64]dns.LDNSID{}
-	for _, o := range next {
-		samples[ckey{o.ClientID, o.Target}] = append(samples[ckey{o.ClientID, o.Target}], o.RTTms)
-		ldnsOf[o.ClientID] = o.LDNS
-	}
-	// Collect distinct clients in stable order.
-	clientSet := map[uint64]bool{}
-	for k := range samples {
-		clientSet[k.client] = true
-	}
-	ids := make([]uint64, 0, len(clientSet))
-	//replay:commutative keys only; sorted immediately below, so collection order is discarded
-	for id := range clientSet {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var out []Evaluation
-	for _, client := range ids {
-		target := pred.For(client, ldnsOf[client])
+	ix := &next.byClient
+	out := make([]Evaluation, 0, len(ix.keys))
+	for i, client := range ix.keys {
+		target := pred.For(client, ix.lastLDNS[i])
 		weight := 1.0
 		if v, ok := volumes[client]; ok {
 			weight = v
@@ -82,13 +71,13 @@ func (ev Evaluator) Evaluate(pred *Predictions, next []Observation, volumes map[
 			out = append(out, e)
 			continue
 		}
-		anySamples := samples[ckey{client, AnycastTarget}]
-		predSamples := samples[ckey{client, target}]
+		anySamples := ix.samples(i, AnycastTarget)
+		predSamples := ix.samples(i, target)
 		if len(anySamples) < ev.MinSamples || len(predSamples) < ev.MinSamples {
 			continue // cannot evaluate this client
 		}
-		anyQ, err1 := stats.Quantile(anySamples, ev.Percentile)
-		predQ, err2 := stats.Quantile(predSamples, ev.Percentile)
+		anyQ, err1 := stats.QuantileSorted(anySamples, ev.Percentile)
+		predQ, err2 := stats.QuantileSorted(predSamples, ev.Percentile)
 		if err1 != nil || err2 != nil {
 			continue
 		}

@@ -24,7 +24,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"anycastcdn/internal/beacon"
 	"anycastcdn/internal/dns"
@@ -63,8 +62,13 @@ type Observation struct {
 
 // FromMeasurement expands a beacon measurement into its four observations.
 func FromMeasurement(m beacon.Measurement) []Observation {
-	obs := make([]Observation, 0, 4)
-	obs = append(obs, Observation{
+	return AppendMeasurement(make([]Observation, 0, 4), m)
+}
+
+// AppendMeasurement appends m's four observations to dst, so a caller can
+// expand a day of beacons into one reused buffer.
+func AppendMeasurement(dst []Observation, m beacon.Measurement) []Observation {
+	dst = append(dst, Observation{
 		ClientID: m.ClientID,
 		LDNS:     m.LDNS,
 		Target:   AnycastTarget,
@@ -72,7 +76,7 @@ func FromMeasurement(m beacon.Measurement) []Observation {
 		Slot:     0,
 	})
 	for i, u := range m.Unicast {
-		obs = append(obs, Observation{
+		dst = append(dst, Observation{
 			ClientID: m.ClientID,
 			LDNS:     m.LDNS,
 			Target:   Target{Site: u.Site},
@@ -80,7 +84,7 @@ func FromMeasurement(m beacon.Measurement) []Observation {
 			Slot:     uint8(i + 1),
 		})
 	}
-	return obs
+	return dst
 }
 
 // Grouping selects the client aggregation a DNS-based redirector can act
@@ -171,80 +175,29 @@ type Predictions struct {
 	scores map[uint64]units.Millis
 }
 
-// targetSamples is one (target, latency samples) bucket inside a group.
-type targetSamples struct {
-	target Target
-	rtts   []units.Millis
-}
-
-// trainGroup accumulates one group's per-target samples during training.
-// A group sees a handful of targets (anycast plus the LDNS's candidate
-// front-ends), so a linear scan of the bucket list beats hashing a
-// composite (group, target) key per observation.
-type trainGroup struct {
-	id      uint64
-	targets []targetSamples
-}
-
-// bucket returns the group's sample bucket for t, creating it on first
-// sight. Creation order is irrelevant to the outcome: pickTarget sorts
-// the buckets before scoring.
-//
-//perf:hotpath
-func (tg *trainGroup) bucket(t Target) *targetSamples {
-	for i := range tg.targets {
-		if tg.targets[i].target == t {
-			return &tg.targets[i]
-		}
-	}
-	tg.targets = append(tg.targets, targetSamples{target: t})
-	return &tg.targets[len(tg.targets)-1]
-}
-
-// Train builds predictions from one interval's observations.
-//
-// Observations are bucketed per group in a single pass, so scoring a
-// group touches only its own handful of targets. (The original
-// implementation rescanned a flat (group, target)→samples map for every
-// group, which made training quadratic in the group count and dominated
-// the ablation benchmarks' CPU profile.)
-//
-//perf:hotpath
+// Train builds predictions from one interval's observations. It indexes
+// them under g alone; callers that train or evaluate on the same interval
+// more than once should build a Day with NewDay and use TrainDay.
 func (p *Predictor) Train(obs []Observation, g Grouping) *Predictions {
-	byGroup := make(map[uint64]int)
-	// A beacon expands to four observations per client, so distinct
-	// groups rarely exceed a quarter of the observation count.
-	groups := make([]trainGroup, 0, len(obs)/4+1)
-	// A beacon measurement expands to four consecutive observations of
-	// one client, so the previous group's index is usually the next one's
-	// too; memoizing it skips three of every four map lookups.
-	lastIdx := -1
-	for _, o := range obs {
-		gid := groupKey(o, g)
-		idx := lastIdx
-		if idx < 0 || groups[idx].id != gid {
-			i, ok := byGroup[gid]
-			if !ok {
-				i = len(groups)
-				byGroup[gid] = i
-				groups = append(groups, trainGroup{id: gid})
-			}
-			idx = i
-			lastIdx = i
-		}
-		b := groups[idx].bucket(o.Target)
-		b.rtts = append(b.rtts, o.RTTms)
-	}
+	var day Day
+	day.index(g).build(obs, g)
+	return p.TrainDay(&day, g)
+}
+
+// TrainDay builds predictions from one indexed interval under grouping g.
+// Groups are visited in key order, and each group's runs arrive sorted, so
+// scoring a target is one read of its sorted samples.
+//
+//perf:hotpath
+func (p *Predictor) TrainDay(day *Day, g Grouping) *Predictions {
+	ix := day.index(g)
 	pr := &Predictions{
 		Grouping: g,
-		byGroup:  make(map[uint64]Target, len(groups)),
-		scores:   make(map[uint64]units.Millis, len(groups)),
+		byGroup:  make(map[uint64]Target, len(ix.keys)),
+		scores:   make(map[uint64]units.Millis, len(ix.keys)),
 	}
-	// Deterministic iteration: sort groups by id.
-	//lint:ignore hotpathalloc one-time sort after the per-observation loop; the closure is amortized over the whole interval
-	sort.Slice(groups, func(i, j int) bool { return groups[i].id < groups[j].id })
-	for i := range groups {
-		best, bestScore, anycastScore, ok := p.pickTarget(groups[i].targets)
+	for i, key := range ix.keys {
+		best, bestScore, anycastScore, ok := p.pickTarget(ix.group(i), ix.rtts)
 		if !ok {
 			continue // no qualifying target: group stays on anycast implicitly
 		}
@@ -256,46 +209,33 @@ func (p *Predictor) Train(obs []Observation, g Grouping) *Predictions {
 				bestScore = anycastScore
 			}
 		}
-		pr.byGroup[groups[i].id] = best
-		pr.scores[groups[i].id] = bestScore
+		pr.byGroup[key] = best
+		pr.scores[key] = bestScore
 	}
 	return pr
 }
 
-// pickTarget scores the group's qualifying sample buckets and returns the
-// best target. anycastScore is the anycast target's score (inf if
-// unmeasured).
-func (p *Predictor) pickTarget(cand []targetSamples) (best Target, bestScore, anycastScore units.Millis, ok bool) {
-	// Keep qualifying buckets and order them deterministically: anycast
-	// first, then unicast by site id.
-	targets := cand[:0:0]
-	for _, ts := range cand {
-		if len(ts.rtts) < p.cfg.MinMeasurements {
-			continue
-		}
-		targets = append(targets, ts)
-	}
-	if len(targets) == 0 {
-		return Target{}, 0, 0, false
-	}
-	sort.Slice(targets, func(i, j int) bool {
-		if targets[i].target.Anycast != targets[j].target.Anycast {
-			return targets[i].target.Anycast
-		}
-		return targets[i].target.Site < targets[j].target.Site
-	})
+// pickTarget scores the group's qualifying runs, which arrive in target
+// order (anycast first, then by site), and returns the best target.
+// anycastScore is the anycast target's score (1e18 if unmeasured).
+//
+//perf:hotpath
+func (p *Predictor) pickTarget(runs []targetRun, rtts []units.Millis) (best Target, bestScore, anycastScore units.Millis, ok bool) {
 	bestScore = -1
 	anycastScore = 1e18
-	for _, ts := range targets {
-		score, err := stats.Quantile(ts.rtts, float64(p.cfg.Metric))
+	for _, run := range runs {
+		if run.end-run.start < p.cfg.MinMeasurements {
+			continue
+		}
+		score, err := stats.QuantileSorted(rtts[run.start:run.end], float64(p.cfg.Metric))
 		if err != nil {
 			continue
 		}
-		if ts.target.Anycast {
+		if run.target.Anycast {
 			anycastScore = score
 		}
 		if bestScore < 0 || score < bestScore {
-			best, bestScore = ts.target, score
+			best, bestScore = run.target, score
 		}
 	}
 	return best, bestScore, anycastScore, bestScore >= 0

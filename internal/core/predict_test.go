@@ -343,7 +343,9 @@ func trainReference(p *Predictor, obs []Observation, g Grouping) *Predictions {
 				best, bestScore = t, score
 			}
 		}
-		if bestScore < 0 {
+		// !(>= 0), not < 0: a NaN best score leaves the group
+		// unpredicted, as it always has in Train.
+		if !(bestScore >= 0) {
 			continue
 		}
 		if !best.Anycast && anycastScore-bestScore <= cfg.HybridMarginMs && cfg.HybridMarginMs > 0 {

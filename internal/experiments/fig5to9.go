@@ -342,15 +342,6 @@ func (s *Suite) Figure9WithConfig(cfg core.Config) Report { return s.figure9(cfg
 func (s *Suite) figure9(cfg core.Config) Report {
 	pred := core.NewPredictor(cfg)
 	vols := s.Res.Volumes()
-	// Convert each day's beacons to observations once.
-	days := len(s.Res.Beacons)
-	obs := make([][]core.Observation, days)
-	for d := 0; d < days; d++ {
-		obs[d] = make([]core.Observation, 0, 4*len(s.Res.Beacons[d]))
-		for _, m := range s.Res.Beacons[d] {
-			obs[d] = append(obs[d], core.FromMeasurement(m)...)
-		}
-	}
 	type lineSpec struct {
 		name     string
 		grouping core.Grouping
@@ -362,6 +353,40 @@ func (s *Suite) figure9(cfg core.Config) Report {
 		{"LDNS Median", core.ByLDNS, 0.50},
 		{"LDNS 75th", core.ByLDNS, 0.75},
 	}
+	improvements := make([][]units.Millis, len(specs))
+	weights := make([][]float64, len(specs))
+	// Stream day pairs: index each day once, train on it once per
+	// grouping, and score every line of that grouping against the next
+	// day. Each line still collects its evaluations day by day in client
+	// order, as if it ran alone.
+	most := 0
+	for _, day := range s.Res.Beacons {
+		most = max(most, len(day))
+	}
+	buf := make([]core.Observation, 0, 4*most)
+	var cur *core.Day
+	for d := range s.Res.Beacons {
+		buf = buf[:0]
+		for _, m := range s.Res.Beacons[d] {
+			buf = core.AppendMeasurement(buf, m)
+		}
+		next := core.NewDay(buf)
+		if cur != nil {
+			trained := map[core.Grouping]*core.Predictions{
+				core.ByPrefix: pred.TrainDay(cur, core.ByPrefix),
+				core.ByLDNS:   pred.TrainDay(cur, core.ByLDNS),
+			}
+			for i, spec := range specs {
+				evals := core.Evaluator{Percentile: spec.pctile, MinSamples: 2}.
+					EvaluateDay(trained[spec.grouping], next, vols)
+				for _, e := range evals {
+					improvements[i] = append(improvements[i], e.ImprovementMs)
+					weights[i] = append(weights[i], e.Weight)
+				}
+			}
+		}
+		cur = next
+	}
 	fig := &stats.Figure{
 		Title:  "Figure 9: improvement over anycast from prediction (25th-pct metric)",
 		XLabel: "improvement (ms)",
@@ -369,19 +394,8 @@ func (s *Suite) figure9(cfg core.Config) Report {
 	}
 	grid := stats.LinearGrid[units.Millis](-400, 400, 32)
 	var lines []Headline
-	for _, spec := range specs {
-		var improvements []units.Millis
-		var weights []float64
-		for d := 0; d+1 < days; d++ {
-			trained := pred.Train(obs[d], spec.grouping)
-			evals := core.Evaluator{Percentile: spec.pctile, MinSamples: 2}.
-				Evaluate(trained, obs[d+1], vols)
-			for _, e := range evals {
-				improvements = append(improvements, e.ImprovementMs)
-				weights = append(weights, e.Weight)
-			}
-		}
-		e, err := stats.NewWeightedECDF(improvements, weights)
+	for i, spec := range specs {
+		e, err := stats.NewWeightedECDF(improvements[i], weights[i])
 		if err != nil {
 			continue
 		}

@@ -14,32 +14,55 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
 // ErrEmpty is returned by operations over empty samples.
 var ErrEmpty = errors.New("stats: empty sample")
 
-// less mirrors sort.Float64s ordering: ascending, NaNs first.
-func less[T ~float64](a, b T) bool {
-	return a < b || (math.IsNaN(float64(a)) && !math.IsNaN(float64(b)))
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the common default).
 // xs need not be sorted. It returns an error for empty input or q outside
 // [0, 1].
 func Quantile[T ~float64](xs []T, q float64) (T, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
+	if err := checkQuantile(len(xs), q); err != nil {
+		return 0, err
 	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, errors.New("stats: quantile out of range")
-	}
-	s := append([]T(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
+	s := slices.Clone(xs)
+	SortFloats(s)
 	return quantileSorted(s, q), nil
 }
+
+// SortFloats sorts xs ascending with NaNs first, the order of
+// sort.Float64s. Values that compare equal (NaNs among NaNs, -0 beside +0)
+// may land in either order, which no quantile of the result can observe
+// beyond the sign of a zero.
+func SortFloats[T ~float64](xs []T) {
+	// slices.Sort orders a NaN before every other value.
+	slices.Sort(xs)
+}
+
+// QuantileSorted is Quantile over input already in SortFloats order, for
+// callers that sort a sample once and read several quantiles from it.
+func QuantileSorted[T ~float64](sorted []T, q float64) (T, error) {
+	if err := checkQuantile(len(sorted), q); err != nil {
+		return 0, err
+	}
+	return quantileSorted(sorted, q), nil
+}
+
+func checkQuantile(n int, q float64) error {
+	if n == 0 {
+		return ErrEmpty
+	}
+	if q < 0 || q > 1 || math.IsNaN(q) {
+		return errQuantileRange
+	}
+	return nil
+}
+
+var errQuantileRange = errors.New("stats: quantile out of range")
 
 func quantileSorted[T ~float64](s []T, q float64) T {
 	if len(s) == 1 {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -80,6 +81,71 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// legacyQuantile is Quantile as it was before the typed sort: a copy
+// ordered by sort.Slice with sort.Float64s' NaN-first comparison.
+func legacyQuantile(xs []float64, q float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Slice(s, func(i, j int) bool {
+		return s[i] < s[j] || (math.IsNaN(s[i]) && !math.IsNaN(s[j]))
+	})
+	return quantileSorted(s, q)
+}
+
+// sameFloat is == except that NaN matches NaN; -0 and +0 match, since
+// neither sort orders equal values.
+func sameFloat(a, b float64) bool {
+	return a == b || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+func TestQuantileMatchesLegacySort(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	negZero := math.Copysign(0, -1)
+	inputs := [][]float64{
+		{1},
+		{nan},
+		{3, 1, 2, 2, 2, 5},
+		{nan, 1, nan, -inf, inf, 0, negZero},
+		{negZero, 0, negZero, 0, 1, -1},
+		{inf, inf, -inf, -inf, 7, 7, 7},
+		{2, nan, 2, nan, 2},
+	}
+	// A longer input with every special value and many duplicates, so the
+	// sorts take their non-insertion paths too.
+	var long []float64
+	for i := 0; i < 300; i++ {
+		v := []float64{nan, inf, -inf, 0, negZero, float64(i % 17), float64(-(i % 5))}[i%7]
+		long = append(long, v)
+	}
+	inputs = append(inputs, long)
+	for _, xs := range inputs {
+		sorted := slices.Clone(xs)
+		SortFloats(sorted)
+		for q := 0.0; q <= 1.0; q += 1.0 / 64 {
+			want := legacyQuantile(xs, q)
+			got, err := Quantile(xs, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameFloat(got, want) {
+				t.Fatalf("Quantile(%v, %v) = %v, legacy sort gives %v", xs, q, got, want)
+			}
+			fromSorted, err := QuantileSorted(sorted, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameFloat(fromSorted, want) {
+				t.Fatalf("QuantileSorted(%v, %v) = %v, legacy sort gives %v", sorted, q, fromSorted, want)
+			}
+		}
+	}
+	if _, err := QuantileSorted[float64](nil, 0.5); err == nil {
+		t.Error("QuantileSorted of empty input should error")
+	}
+	if _, err := QuantileSorted([]float64{1}, 2); err == nil {
+		t.Error("QuantileSorted with q > 1 should error")
 	}
 }
 
