@@ -286,9 +286,9 @@ func BenchmarkLoadShedding(b *testing.B) {
 }
 
 // BenchmarkAnycastvet measures a full-repo analysis run: the shared
-// type-checked load amortized once, then every analyzer in the suite
-// over every package per iteration (the same work the CI gate times
-// with its 60s budget). Allocations are reported so an analyzer that
+// type-checked load and the module facts amortized once, then every
+// analyzer in the suite over every package per iteration (the per-pass
+// work the CI gate times with its 20s per-analyzer budget). Allocations are reported so an analyzer that
 // starts copying per-package state shows up here before it shows up as
 // wall-clock.
 func BenchmarkAnycastvet(b *testing.B) {
@@ -309,11 +309,11 @@ func BenchmarkAnycastvet(b *testing.B) {
 
 // BenchmarkAnycastvetDataflow measures the dataflow passes alone: a
 // full-repo lockorder+errflow run per iteration, with a fresh Module
-// each time so the once-cached module-wide lock facts (CFG
+// each time so the module-wide lock facts NewModule builds (CFG
 // construction, held-lock fixpoints, call-graph propagation, cycle
-// detection) are actually recomputed rather than served from the
-// sync.Once cache. This is the benchjson gate that catches the CFG or
-// worklist fixpoint going quadratic.
+// detection) are recomputed along with errflow's per-function passes.
+// This is the benchjson gate that catches the CFG or worklist fixpoint
+// going quadratic.
 func BenchmarkAnycastvetDataflow(b *testing.B) {
 	pkgs, err := analysis.LoadModule(".")
 	if err != nil {

@@ -1,9 +1,13 @@
 // Package analysis is anycastvet: a small, dependency-free static-analysis
 // framework (stdlib go/ast + go/types only) that enforces the repository's
-// cross-cutting invariants — deterministic simulation code, disciplined
-// error handling on the network paths, mutex hygiene, no panics in
-// library packages, dimensional safety for the ms/km quantities in
-// internal/units, and documented locking contracts.
+// cross-cutting invariants, one check per invariant: replay safety of
+// everything a figure is computed from (replaysafety), disciplined error
+// handling (uncheckederr, errflow), lock discipline (lockorder; lock
+// copies are go vet's copylocks), documented locking contracts
+// (lockdoc), no panics in library packages (nopanic), joined goroutines
+// (goroutineleak), ctx-bounded network I/O (ctxpropagation), dimensional
+// safety for the ms/km quantities in internal/units (unitsafety), and
+// allocation-free hot paths (hotpathalloc).
 //
 // The paper's results (anycast vs. unicast latency deltas, catchments,
 // day-over-day prediction) are only trustworthy if a rerun with the same
@@ -44,8 +48,6 @@ type Pass struct {
 	// hot-path annotations) derived once per run by NewModule.
 	Mod    *Module
 	report func(Diagnostic)
-
-	declCache map[*types.Func]*ast.FuncDecl
 }
 
 // Reportf records a diagnostic at pos.
@@ -76,24 +78,6 @@ func (p *Pass) PkgNameOf(sel *ast.SelectorExpr) *types.PkgName {
 	return pn
 }
 
-// FuncDeclOf returns the declaration of fn when fn is declared in this
-// package, or nil (external functions, interface methods, builtins).
-func (p *Pass) FuncDeclOf(fn *types.Func) *ast.FuncDecl {
-	if p.declCache == nil {
-		p.declCache = map[*types.Func]*ast.FuncDecl{}
-		for _, f := range p.Pkg.Files {
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					if obj, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						p.declCache[obj] = fd
-					}
-				}
-			}
-		}
-	}
-	return p.declCache[fn]
-}
-
 // Diagnostic is one reported violation. File is relative to the module
 // root when produced by LoadModule.
 type Diagnostic struct {
@@ -111,10 +95,16 @@ func (d Diagnostic) String() string {
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Nondeterminism, UncheckedErr, MutexHygiene, NoPanic, GoroutineLeak,
-		CtxPropagation, UnitSafety, LockDoc, ReplaySafety, HotPathAlloc,
-		LockOrder, ErrFlow,
+		UncheckedErr, NoPanic, GoroutineLeak, CtxPropagation, UnitSafety,
+		LockDoc, ReplaySafety, HotPathAlloc, LockOrder, ErrFlow,
 	}
+}
+
+// posString renders pos as file:line for naming a second site in a
+// diagnostic message.
+func posString(fset *token.FileSet, pos token.Pos) string {
+	p := fset.Position(pos)
+	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }
 
 // isErrorType reports whether t is the built-in error interface.

@@ -30,9 +30,10 @@ func Reduce(m map[int]float64) []int {
 // TestReplaySafetyDistributedRoots seeds wall-clock reads behind the new
 // roots: a helper reachable from StreamShard, and one reachable from
 // MergeShardDay, must both carry the replay-sensitive fact. A sibling
-// helper reachable from neither stays out of scope.
+// helper reachable from neither stays out of scope. The fixture sits
+// outside DeterministicPackages, where every function would be a root.
 func TestReplaySafetyDistributedRoots(t *testing.T) {
-	src := `package experiments
+	src := `package pipeline
 
 import "time"
 
@@ -46,7 +47,7 @@ func stamp2() int64 { return time.Now().UnixNano() }
 
 func Unreached() int64 { return time.Now().UnixNano() }
 `
-	got := checkFixture(t, ReplaySafety, "anycastcdn/internal/experiments", map[string]string{"a.go": src})
+	got := checkFixture(t, ReplaySafety, "anycastcdn/internal/pipeline", map[string]string{"a.go": src})
 	wantDiags(t, got, []string{
 		"a.go:9:replaysafety",  // stamp: reachable from the StreamShard root
 		"a.go:11:replaysafety", // stamp2: reachable from the MergeShardDay root

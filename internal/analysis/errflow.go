@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -26,8 +25,8 @@ import (
 //     `resp, err := ...; if err != nil { resp.Body.Close() }` nil
 //     dereference.
 //
-// The analysis is a forward may-analysis: "consumed" joins with OR (a
-// read on either branch counts), "known non-nil" joins with AND (only
+// The forward pass is a may-analysis: "checked" joins with OR (a nil
+// check on either branch counts), "known non-nil" joins with AND (only
 // if established on every incoming path), so each finding holds on all
 // (respectively some) executions and the false-positive rate stays
 // lint-worthy. Error variables captured by closures or having their
@@ -62,9 +61,8 @@ func runErrFlow(pass *Pass) {
 // errFact is what the analysis knows about one error variable on the
 // current path.
 type errFact struct {
-	assignPos token.Pos // site of the live (unconsumed) assignment
+	assignPos token.Pos // site of the pending assignment
 	assigned  bool      // an error value is pending
-	consumed  bool      // read since assignment
 	checked   bool      // nil-compared since assignment
 	nonNil    bool      // branch refinement proved it non-nil here
 }
@@ -114,7 +112,6 @@ func joinErr(a, b *errState) *errState {
 		}
 		m := errFact{
 			assigned: fa.assigned || fb.assigned,
-			consumed: fa.consumed || fb.consumed,
 			checked:  fa.checked || fb.checked,
 			nonNil:   fa.nonNil && fb.nonNil,
 		}
@@ -278,7 +275,7 @@ func (u *errFlowUnit) applyLive(n ast.Node, s liveState, report bool) liveState 
 		f := s[v]
 		if report && !f.live {
 			if f.killPos != token.NoPos {
-				u.pass.Reportf(id.Pos(), "the error assigned to %s here is overwritten at %s before any path checks it — the first failure is lost", id.Name, u.posString(f.killPos))
+				u.pass.Reportf(id.Pos(), "the error assigned to %s here is overwritten at %s before any path checks it — the first failure is lost", id.Name, posString(u.pass.Pkg.Fset, f.killPos))
 			} else {
 				u.pass.Reportf(id.Pos(), "the error assigned to %s here is never checked on any path before the function returns", id.Name)
 			}
@@ -530,10 +527,9 @@ func (u *errFlowUnit) setAssigned(v *types.Var, pos token.Pos, rhs ast.Expr, s *
 }
 
 // markUses walks an expression/statement (function literals excluded —
-// they are separate units), marking reads of tracked error variables
-// consumed, handling nil comparisons (checked bit + the shadowed-check
-// finding), and flagging uses of paired results on non-nil-error
-// paths.
+// they are separate units), handling nil comparisons of tracked error
+// variables (checked bit + the shadowed-check finding) and flagging uses
+// of paired results on non-nil-error paths.
 func (u *errFlowUnit) markUses(n ast.Node, s *errState) *errState {
 	if n == nil {
 		return s
@@ -548,19 +544,10 @@ func (u *errFlowUnit) markUses(n ast.Node, s *errState) *errState {
 					u.shadowCheck(x, v, s)
 				}
 				if f, ok := s.errs[v]; ok {
-					f.consumed = true
 					f.checked = true
 					s = s.clone()
 					s.errs[v] = f
 					return false // operands handled
-				}
-			}
-		case *ast.Ident:
-			if v, ok := u.pass.Pkg.Info.Uses[x].(*types.Var); ok {
-				if f, ok := s.errs[v]; ok && !f.consumed {
-					f.consumed = true
-					s = s.clone()
-					s.errs[v] = f
 				}
 			}
 		case *ast.SelectorExpr:
@@ -601,7 +588,7 @@ func (u *errFlowUnit) shadowCheck(at *ast.BinaryExpr, v *types.Var, s *errState)
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].w.Pos() < cands[j].w.Pos() })
 	for _, c := range cands {
-		u.pass.Reportf(at.Pos(), "this nil check reads %s declared at %s, but the shadowing %s assigned at %s is never checked on this path", v.Name(), u.posString(v.Pos()), c.w.Name(), u.posString(c.f.assignPos))
+		u.pass.Reportf(at.Pos(), "this nil check reads %s declared at %s, but the shadowing %s assigned at %s is never checked on this path", v.Name(), posString(u.pass.Pkg.Fset, v.Pos()), c.w.Name(), posString(u.pass.Pkg.Fset, c.f.assignPos))
 	}
 }
 
@@ -624,7 +611,7 @@ func (u *errFlowUnit) checkErrPathUse(base ast.Expr, how string, s *errState) {
 		return
 	}
 	if f, ok := s.errs[rf.errVar]; ok && f.nonNil {
-		u.pass.Reportf(id.Pos(), "%s of %s on the path where %s != nil: the result of the failed call at %s may be nil or zero", how, id.Name, rf.errVar.Name(), u.posString(rf.pos))
+		u.pass.Reportf(id.Pos(), "%s of %s on the path where %s != nil: the result of the failed call at %s may be nil or zero", how, id.Name, rf.errVar.Name(), posString(u.pass.Pkg.Fset, rf.pos))
 	}
 }
 
@@ -697,9 +684,4 @@ func indexOfExpr(list []ast.Expr, e ast.Expr) int {
 		}
 	}
 	return 0
-}
-
-func (u *errFlowUnit) posString(pos token.Pos) string {
-	p := u.pass.Pkg.Fset.Position(pos)
-	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }

@@ -3,8 +3,8 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
-	"sync"
 )
 
 // Module is the cross-package view of one loaded module: every package
@@ -15,9 +15,9 @@ import (
 // internal/latency, or a //perf:hotpath annotation on a method the caller
 // only sees through its import.
 //
-// A Module is immutable after NewModule and safe for concurrent reads;
-// the parallel runner (RunModule) shares one across every (package,
-// analyzer) task.
+// A Module is plain data, immutable after NewModule and safe for
+// concurrent reads; the parallel runner (RunModule) shares one across
+// every (package, analyzer) task.
 type Module struct {
 	// Pkgs is every package of the load, sorted by import path.
 	Pkgs []*Package
@@ -29,34 +29,39 @@ type Module struct {
 	replayReachable map[*types.Func]bool
 	hotPath         map[*types.Func]bool
 
-	// Lock facts (lockorder.go) are derived lazily on first use and
-	// shared by every pass over this module.
-	lockOnce sync.Once
-	lockData *lockFactsData
+	// lockFindings is the module-wide held-lock analysis (lockorder.go).
+	lockFindings []lockFinding
 }
 
-// ReplayRootNames are the function names treated as replay roots: every
-// function statically reachable from a function with one of these names
-// carries the "replay-sensitive" fact, in whatever package it lives. The
-// repo's roots are sim.RunWorld and sim.StreamWorld — everything a
-// figure is computed from flows through them — plus the distributed
-// pipeline's two halves: sim.StreamShard (the worker's shard stream) and
-// experiments.MergeShardDay (the coordinator's fold), which must replay
-// byte-identically for the fleet merge to equal the single-process run.
+// ReplayRootNames are the function names treated as replay roots in
+// whatever package they are declared: sim.RunWorld and sim.StreamWorld
+// — everything a figure is computed from flows through them — plus the
+// distributed pipeline's two halves: sim.StreamShard (the worker's
+// shard stream) and experiments.MergeShardDay (the coordinator's fold),
+// which must replay byte-identically for the fleet merge to equal the
+// single-process run.
 var ReplayRootNames = []string{"RunWorld", "StreamWorld", "StreamShard", "MergeShardDay"}
 
-// HotPathDirective marks a function as allocation-free by contract; the
-// hotpathalloc analyzer enforces it. The directive goes in the doc
-// comment, on its own line:
-//
-//	//perf:hotpath
-func (m *Module) HotPathDirective() string { return "//perf:hotpath" }
+// DeterministicPackages lists the packages (and their subpackages) whose
+// outputs must be bit-for-bit reproducible from a seed: the simulation
+// core, the prediction pipeline, the experiment harness, and the client
+// population model. Every non-test function declared in them is a replay
+// root, so a report method that no named root reaches (Suite.Figure1,
+// clients.Generate) is still held to replay safety.
+var DeterministicPackages = []string{
+	"anycastcdn/internal/sim",
+	"anycastcdn/internal/core",
+	"anycastcdn/internal/experiments",
+	"anycastcdn/internal/clients",
+}
 
 // NewModule derives the cross-package facts for pkgs: the static call
 // graph (direct calls and method calls resolved through go/types; calls
 // through interface values or stored function values are not followed —
-// a deliberate static approximation), replay reachability from the
-// ReplayRootNames roots, and //perf:hotpath annotations.
+// a deliberate static approximation), the replay path (everything
+// reachable from a ReplayRootNames root or from a function declared in
+// a DeterministicPackages package), //perf:hotpath annotations, and the
+// module-wide lock facts lockorder reports from.
 func NewModule(pkgs []*Package) *Module {
 	m := &Module{
 		Pkgs:            pkgs,
@@ -66,8 +71,11 @@ func NewModule(pkgs []*Package) *Module {
 		replayReachable: map[*types.Func]bool{},
 		hotPath:         map[*types.Func]bool{},
 	}
+	var queue []*types.Func
 	for _, pkg := range pkgs {
+		deterministic := pathInList(pkg.Path, DeterministicPackages)
 		for _, f := range pkg.Files {
+			testFile := strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go")
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok {
@@ -81,6 +89,10 @@ func NewModule(pkgs []*Package) *Module {
 				m.declPkg[obj] = pkg
 				if hasDirective(fd.Doc, "//perf:hotpath") {
 					m.hotPath[obj] = true
+				}
+				if slices.Contains(ReplayRootNames, obj.Name()) || (deterministic && !testFile) {
+					m.replayReachable[obj] = true
+					queue = append(queue, obj)
 				}
 			}
 		}
@@ -100,14 +112,7 @@ func NewModule(pkgs []*Package) *Module {
 			return true
 		})
 	}
-	// Replay reachability: BFS from every function named like a root.
-	var queue []*types.Func
-	for obj := range m.decls {
-		if isReplayRootName(obj.Name()) {
-			m.replayReachable[obj] = true
-			queue = append(queue, obj)
-		}
-	}
+	// Replay reachability: BFS from every root.
 	for len(queue) > 0 {
 		fn := queue[0]
 		queue = queue[1:]
@@ -119,11 +124,12 @@ func NewModule(pkgs []*Package) *Module {
 			queue = append(queue, callee)
 		}
 	}
+	m.lockFindings = buildLockFacts(m)
 	return m
 }
 
-// ReplayReachable reports the "replay-sensitive" fact: fn is statically
-// reachable from a RunWorld/StreamWorld root (possibly across packages).
+// ReplayReachable reports the "replay-sensitive" fact: fn is a replay
+// root or statically reachable from one (possibly across packages).
 func (m *Module) ReplayReachable(fn *types.Func) bool { return m.replayReachable[fn] }
 
 // HotPath reports the "annotated hot-path" fact: fn's declaration carries
@@ -136,15 +142,6 @@ func (m *Module) FuncDecl(fn *types.Func) *ast.FuncDecl { return m.decls[fn] }
 // FuncPackage returns the package declaring fn, or nil for functions
 // outside the module (stdlib, interface methods).
 func (m *Module) FuncPackage(fn *types.Func) *Package { return m.declPkg[fn] }
-
-func isReplayRootName(name string) bool {
-	for _, r := range ReplayRootNames {
-		if name == r {
-			return true
-		}
-	}
-	return false
-}
 
 // calleeFunc resolves the function object a call expression invokes:
 // plain calls, package-qualified calls, and method calls. Calls through

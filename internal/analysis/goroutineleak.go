@@ -77,20 +77,11 @@ func spawnHasJoinPath(pass *Pass, call *ast.CallExpr) bool {
 
 // calleeDecl resolves a call to its same-package declaration, or nil.
 func calleeDecl(pass *Pass, call *ast.CallExpr) *ast.FuncDecl {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
+	fn := calleeFunc(pass.Pkg.Info, call)
+	if fn == nil || pass.Mod.FuncPackage(fn) != pass.Pkg {
 		return nil
 	}
-	fn, ok := pass.Pkg.Info.Uses[id].(*types.Func)
-	if !ok {
-		return nil
-	}
-	return pass.FuncDeclOf(fn)
+	return pass.Mod.FuncDecl(fn)
 }
 
 // hasJoinEvidence walks body (including nested literals) for a join or

@@ -33,9 +33,6 @@ var HotPathAlloc = &Analyzer{
 }
 
 func runHotPathAlloc(pass *Pass) {
-	if pass.Mod == nil {
-		return
-	}
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

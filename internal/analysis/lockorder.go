@@ -25,35 +25,35 @@ import (
 //     Lock/RLock on an RWMutex whose write (or, for Lock, read) side
 //     the path already holds — including through a call chain, where
 //     the callee that re-acquires is named.
-//   - unlock on some paths only: a lock still held on at least one
-//     path into the function exit (after deferred unlocks run) while
-//     other paths release it — the conditional-early-return bug
-//     mutexhygiene's "any unlock exists" rule cannot see.
+//   - held at exit: a lock still held on at least one path into the
+//     function exit (after deferred unlocks run) — never released at
+//     all, released only on some paths (the conditional-early-return
+//     bug), or released on the wrong side (RLock paired with Unlock:
+//     Unlock releases only the write side, RUnlock only the read side).
+//     Calls through function values are not followed, so a lock
+//     released only inside a stored closure (`done := func() {
+//     mu.Unlock() }`) reads as held; release it directly or by defer.
 //
 // The held-lock state is a may-analysis (union join): an acquisition
 // on either branch of an if counts as held after the join. Deferred
 // calls are modeled as running on every exit path (cfg.go's defers
 // block), so `defer mu.Unlock()` never yields a false
-// held-at-exit. Goroutine bodies are analyzed as their own functions —
-// locks held at a `go` statement do not leak into the spawned body,
-// but the body's own acquisition order still feeds the global graph,
-// which is what makes cross-goroutine inversions visible.
+// held-at-exit. Function literals that do not run in place (inPlaceLits)
+// — goroutine bodies and stored or passed closures — are analyzed as
+// their own units: locks held where the literal appears do not leak
+// into its body, and its acquisitions do not count toward the
+// enclosing function's summary, but its own acquisition order still
+// feeds the global graph, which is what makes cross-goroutine
+// inversions visible.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "detect lock-order deadlock cycles (cross-package), double locks, and locks released on only some paths",
+	Doc:  "detect lock-order deadlock cycles (cross-package), double locks, and locks still held when a function returns",
 	Run:  runLockOrder,
 }
 
 func runLockOrder(pass *Pass) {
-	if pass.Mod == nil {
-		return
-	}
-	facts := pass.Mod.LockFacts()
-	if facts == nil {
-		return
-	}
 	owned := pass.ownedFiles()
-	for _, f := range facts.findings {
+	for _, f := range pass.Mod.lockFindings {
 		if owned[pass.Pkg.Fset.Position(f.pos).Filename] {
 			pass.Reportf(f.pos, "%s", f.msg)
 		}
@@ -83,10 +83,11 @@ type lockID struct {
 }
 
 // heldLock is one element of the dataflow state: a lock the current
-// path may hold, how it was acquired, and where.
+// path may hold, on which sides, and where it was first acquired.
 type heldLock struct {
 	id  lockID
-	w   bool // write side (Lock) vs read side (RLock)
+	w   bool // write side (Lock) may be held
+	r   bool // read side (RLock) may be held
 	pos token.Pos
 }
 
@@ -119,33 +120,54 @@ func heldLess(a, b heldLock) bool {
 }
 
 func (s heldSet) add(id lockID, w bool, pos token.Pos) heldSet {
+	h := heldLock{id: id, w: w, r: !w, pos: pos}
 	if i := s.find(id); i >= 0 {
-		if s[i].w == (s[i].w || w) && s[i].pos <= pos {
+		h = mergeHeld(s[i], h)
+		if h == s[i] {
 			return s
 		}
 		out := append(heldSet(nil), s...)
-		out[i].w = out[i].w || w
-		if pos < out[i].pos {
-			out[i].pos = pos
-		}
+		out[i] = h
 		return out
 	}
 	out := make(heldSet, 0, len(s)+1)
 	out = append(out, s...)
-	out = append(out, heldLock{id: id, w: w, pos: pos})
+	out = append(out, h)
 	sort.Slice(out, func(i, j int) bool { return heldLess(out[i], out[j]) })
 	return out
 }
 
-func (s heldSet) remove(id lockID) heldSet {
+// release drops one side of id: Unlock the write side, RUnlock the read
+// side. The lock leaves the set once neither side may be held.
+func (s heldSet) release(id lockID, w bool) heldSet {
 	i := s.find(id)
 	if i < 0 {
 		return s
 	}
-	out := make(heldSet, 0, len(s)-1)
-	out = append(out, s[:i]...)
-	out = append(out, s[i+1:]...)
-	return out
+	h := s[i]
+	if w {
+		h.w = false
+	} else {
+		h.r = false
+	}
+	if h == s[i] {
+		return s
+	}
+	out := append(heldSet(nil), s[:i]...)
+	if h.w || h.r {
+		out = append(out, h)
+	}
+	return append(out, s[i+1:]...)
+}
+
+// mergeHeld joins two states of the same lock: either side held on
+// either path, first acquisition wins.
+func mergeHeld(a, b heldLock) heldLock {
+	a.w, a.r = a.w || b.w, a.r || b.r
+	if b.pos < a.pos {
+		a.pos = b.pos
+	}
+	return a
 }
 
 func joinHeld(a, b heldSet) heldSet {
@@ -158,10 +180,7 @@ func joinHeld(a, b heldSet) heldSet {
 	out := append(heldSet(nil), a...)
 	for _, h := range b {
 		if i := out.find(h.id); i >= 0 {
-			out[i].w = out[i].w || h.w
-			if h.pos < out[i].pos {
-				out[i].pos = h.pos
-			}
+			out[i] = mergeHeld(out[i], h)
 		} else {
 			out = append(out, h)
 		}
@@ -196,31 +215,12 @@ type lockEdge struct {
 	fromPos, toPos token.Pos
 }
 
-// lockFactsData is the module-wide result of the lock analysis,
-// computed once per Module and shared by every lockorder pass.
-type lockFactsData struct {
-	findings []lockFinding
-	// edges is the deduplicated acquisition-order graph, sorted.
-	edges []lockEdge
-}
-
-// LockFacts runs the module-wide lock analysis once (subsequent calls,
-// including concurrent ones from parallel passes, return the cached
-// result): per-function held-lock dataflow, call-graph propagation of
-// held sets into callee acquisition summaries, and cycle detection on
-// the global order graph.
-func (m *Module) LockFacts() *lockFactsData {
-	m.lockOnce.Do(func() { m.lockData = buildLockFacts(m) })
-	return m.lockData
-}
-
 // lockUnit is one independently analyzed body: a function declaration
 // or a function literal that runs on its own schedule (a goroutine
 // body, or a closure stored/passed rather than invoked in place).
 type lockUnit struct {
 	pkg  *Package
 	name string
-	fn   *types.Func // enclosing declaration (summary attribution)
 	body *ast.BlockStmt
 }
 
@@ -247,28 +247,28 @@ type lockAnalysis struct {
 	findings  []lockFinding
 	edgeSet   map[[2]lockID]lockEdge
 	heldCalls []heldCall
-	// direct accumulates per-declaration direct acquisitions
-	// (goroutine subtrees excluded — they run on another goroutine);
+	// acq is each declaration's acquisition summary: its direct
+	// acquisitions (literals that do not run in place excluded — they
+	// run on their own schedule), closed over callees by closeSummaries;
 	// callees mirrors the call graph under the same exclusion.
-	direct  map[*types.Func]map[lockID]acqInfo
+	acq     map[*types.Func]map[lockID]acqInfo
 	callees map[*types.Func][]*types.Func
-	// released records, per unit, which locks have any release site —
-	// the held-at-exit finding only fires when the function does
-	// release the lock on some path (a function with no release at all
-	// is mutexhygiene's finding, not ours).
-	released map[lockID]bool
 }
 
-func buildLockFacts(m *Module) *lockFactsData {
+// buildLockFacts runs the module-wide lock analysis — per-function
+// held-lock dataflow, call-graph propagation of held sets into callee
+// acquisition summaries, and cycle detection on the global order graph
+// — and returns its findings sorted by position.
+func buildLockFacts(m *Module) []lockFinding {
 	if len(m.Pkgs) == 0 {
-		return &lockFactsData{}
+		return nil
 	}
 	la := &lockAnalysis{
 		mod:     m,
 		fset:    m.Pkgs[0].Fset,
 		canon:   map[*types.Var]string{},
 		edgeSet: map[[2]lockID]lockEdge{},
-		direct:  map[*types.Func]map[lockID]acqInfo{},
+		acq:     map[*types.Func]map[lockID]acqInfo{},
 		callees: map[*types.Func][]*types.Func{},
 	}
 	for _, pkg := range m.Pkgs {
@@ -279,15 +279,16 @@ func buildLockFacts(m *Module) *lockFactsData {
 					continue
 				}
 				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				la.collectSummaries(pkg, fn, fd)
-				for _, u := range lockUnits(pkg, fn, fd) {
+				inPlace := inPlaceLits(fd.Body)
+				la.collectSummaries(pkg, fn, fd, inPlace)
+				for _, u := range lockUnits(pkg, fd, inPlace) {
 					la.analyzeUnit(u)
 				}
 			}
 		}
 	}
-	trans := la.transitiveAcq()
-	la.crossEdges(trans)
+	la.closeSummaries()
+	la.crossEdges()
 	la.cycleFindings()
 
 	sort.Slice(la.findings, func(i, j int) bool {
@@ -297,59 +298,43 @@ func buildLockFacts(m *Module) *lockFactsData {
 		}
 		return a.msg < b.msg
 	})
-	edges := make([]lockEdge, 0, len(la.edgeSet))
-	for _, e := range la.edgeSet {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
-		if a.from.name != b.from.name {
-			return a.from.name < b.from.name
-		}
-		if a.to.name != b.to.name {
-			return a.to.name < b.to.name
-		}
-		return a.toPos < b.toPos
-	})
-	return &lockFactsData{findings: la.findings, edges: edges}
+	return la.findings
 }
 
-// lockUnits enumerates the analysis units of one declaration: the body
-// itself, plus every function literal that does not run in place —
-// goroutine bodies and stored/passed closures. Literals invoked where
-// they appear (including `defer func(){...}()`, which cfg.go folds
-// into the defers block) stay part of the enclosing unit.
-func lockUnits(pkg *Package, fn *types.Func, fd *ast.FuncDecl) []lockUnit {
-	name := fd.Name.Name
-	units := []lockUnit{{pkg: pkg, name: name, fn: fn, body: fd.Body}}
-	inline := map[*ast.FuncLit]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if lit, ok := call.Fun.(*ast.FuncLit); ok {
-			inline[lit] = true
-		}
-		return true
-	})
-	// A `go func(){...}()` body is not inline: it runs on another
-	// goroutine, so it must be its own unit with an empty held set.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if g, ok := n.(*ast.GoStmt); ok {
-			if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
-				inline[lit] = false
+// inPlaceLits classifies the function literals of one declaration body:
+// it returns the set that runs where it appears, on the enclosing
+// goroutine — literals called directly, including `defer func(){...}()`,
+// which cfg.go folds into the defers block. Every other literal — a
+// `go func(){...}()` body, or a closure stored or passed rather than
+// invoked — runs on its own schedule: it is a lock unit of its own, and
+// its acquisitions are not part of the enclosing function's summary.
+func inPlaceLits(body *ast.BlockStmt) map[*ast.FuncLit]bool {
+	inPlace := map[*ast.FuncLit]bool{}
+	spawned := map[*ast.FuncLit]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.GoStmt: // visited before its call
+			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
+				spawned[lit] = true
+			}
+		case *ast.CallExpr:
+			if lit, ok := n.Fun.(*ast.FuncLit); ok && !spawned[lit] {
+				inPlace[lit] = true
 			}
 		}
 		return true
 	})
+	return inPlace
+}
+
+// lockUnits enumerates the analysis units of one declaration: the body
+// itself, plus every function literal that does not run in place.
+func lockUnits(pkg *Package, fd *ast.FuncDecl, inPlace map[*ast.FuncLit]bool) []lockUnit {
+	name := fd.Name.Name
+	units := []lockUnit{{pkg: pkg, name: name, body: fd.Body}}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		lit, ok := n.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		if !inline[lit] {
-			units = append(units, lockUnit{pkg: pkg, name: name + ".func", fn: fn, body: lit.Body})
+		if lit, ok := n.(*ast.FuncLit); ok && !inPlace[lit] {
+			units = append(units, lockUnit{pkg: pkg, name: name + ".func", body: lit.Body})
 		}
 		return true
 	})
@@ -357,15 +342,18 @@ func lockUnits(pkg *Package, fn *types.Func, fd *ast.FuncDecl) []lockUnit {
 }
 
 // collectSummaries records fn's direct acquisitions and call edges,
-// excluding goroutine subtrees (their effects belong to the spawned
-// unit, not the caller's lock path).
-func (la *lockAnalysis) collectSummaries(pkg *Package, fn *types.Func, fd *ast.FuncDecl) {
+// excluding goroutine subtrees and literals that do not run in place
+// (their effects belong to their own unit, not the caller's lock path).
+func (la *lockAnalysis) collectSummaries(pkg *Package, fn *types.Func, fd *ast.FuncDecl, inPlace map[*ast.FuncLit]bool) {
 	if fn == nil {
 		return
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.GoStmt); ok {
+		switch n := n.(type) {
+		case *ast.GoStmt:
 			return false
+		case *ast.FuncLit:
+			return inPlace[n]
 		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -373,16 +361,7 @@ func (la *lockAnalysis) collectSummaries(pkg *Package, fn *types.Func, fd *ast.F
 		}
 		if id, w, acquire, isLock := la.syncLockCall(pkg, call); isLock {
 			if acquire {
-				set := la.direct[fn]
-				if set == nil {
-					set = map[lockID]acqInfo{}
-					la.direct[fn] = set
-				}
-				if prev, ok := set[id]; !ok || call.Pos() < prev.pos {
-					set[id] = acqInfo{w: w, pos: call.Pos()}
-				} else if w && !prev.w {
-					set[id] = acqInfo{w: true, pos: prev.pos}
-				}
+				la.acquire(fn, id, acqInfo{w: w, pos: call.Pos()})
 			}
 			return true
 		}
@@ -397,7 +376,6 @@ func (la *lockAnalysis) collectSummaries(pkg *Package, fn *types.Func, fd *ast.F
 // findings, intra-procedural order edges, and held call sites.
 func (la *lockAnalysis) analyzeUnit(u lockUnit) {
 	g := NewCFG(u.body)
-	la.released = map[lockID]bool{}
 	transfer := func(n ast.Node, s heldSet) heldSet {
 		return la.applyNode(u, n, s, false)
 	}
@@ -416,15 +394,15 @@ func (la *lockAnalysis) analyzeUnit(u lockUnit) {
 			s = la.applyNode(u, n, s, true)
 		}
 	}
-	// Held at exit (after deferred releases): the lock is released on
-	// some path (otherwise mutexhygiene owns the finding) but not all.
+	// Held at exit, after deferred releases run.
 	for _, h := range res.In[g.Exit.Index] {
-		if !la.released[h.id] {
-			continue
+		side := "Unlock"
+		if !h.w {
+			side = "RUnlock"
 		}
 		la.findings = append(la.findings, lockFinding{
 			pos: h.pos,
-			msg: fmt.Sprintf("%s is released on some paths through %s but may still be held when the function returns; unlock on every path or defer the unlock", h.id.name, u.name),
+			msg: fmt.Sprintf("%s may still be held when %s returns; %s it on every path or defer the %s", h.id.name, u.name, side, side),
 		})
 	}
 }
@@ -461,8 +439,7 @@ func (la *lockAnalysis) applyNode(u lockUnit, n ast.Node, s heldSet, report bool
 						}
 						s = s.add(id, w, x.Pos())
 					} else {
-						la.released[id] = true
-						s = s.remove(id)
+						s = s.release(id, w)
 					}
 					return false
 				}
@@ -488,13 +465,13 @@ func (la *lockAnalysis) reportAcquire(u lockUnit, call *ast.CallExpr, id lockID,
 			switch {
 			case w && h.w:
 				la.findings = append(la.findings, lockFinding{pos: call.Pos(),
-					msg: fmt.Sprintf("double Lock of %s: already locked at %s on this path; sync mutexes are not reentrant, this deadlocks", id.name, la.posString(h.pos))})
-			case w && !h.w:
+					msg: fmt.Sprintf("double Lock of %s: already locked at %s on this path; sync mutexes are not reentrant, this deadlocks", id.name, posString(la.fset, h.pos))})
+			case w:
 				la.findings = append(la.findings, lockFinding{pos: call.Pos(),
-					msg: fmt.Sprintf("Lock of %s while its read lock is held (RLock at %s); upgrading RLock to Lock deadlocks", id.name, la.posString(h.pos))})
+					msg: fmt.Sprintf("Lock of %s while its read lock is held (RLock at %s); upgrading RLock to Lock deadlocks", id.name, posString(la.fset, h.pos))})
 			case !w && h.w:
 				la.findings = append(la.findings, lockFinding{pos: call.Pos(),
-					msg: fmt.Sprintf("RLock of %s while its write lock is held (Lock at %s); this deadlocks", id.name, la.posString(h.pos))})
+					msg: fmt.Sprintf("RLock of %s while its write lock is held (Lock at %s); this deadlocks", id.name, posString(la.fset, h.pos))})
 				// RLock while RLock held is legal (shared readers).
 			}
 			continue
@@ -518,57 +495,47 @@ func (la *lockAnalysis) addEdge(from lockID, fromPos token.Pos, to lockID, toPos
 	la.edgeSet[key] = lockEdge{from: from, to: to, fromPos: fromPos, toPos: toPos}
 }
 
-// transitiveAcq closes the per-declaration direct-acquisition sets
-// over the call graph: everything a call to fn may acquire, in fn or
-// any (transitive) callee.
-func (la *lockAnalysis) transitiveAcq() map[*types.Func]map[lockID]acqInfo {
-	trans := map[*types.Func]map[lockID]acqInfo{}
-	for fn, set := range la.direct {
-		cp := make(map[lockID]acqInfo, len(set))
-		for id, a := range set {
-			cp[id] = a
-		}
-		trans[fn] = cp
+// acquire records in fn's summary that a call to fn may acquire id as a
+// (write side, either side; first site wins) and reports whether the
+// summary changed.
+func (la *lockAnalysis) acquire(fn *types.Func, id lockID, a acqInfo) bool {
+	set := la.acq[fn]
+	if set == nil {
+		set = map[lockID]acqInfo{}
+		la.acq[fn] = set
 	}
+	if prev, ok := set[id]; ok {
+		a = acqInfo{w: prev.w || a.w, pos: min(prev.pos, a.pos)}
+		if a == prev {
+			return false
+		}
+	}
+	set[id] = a
+	return true
+}
+
+// closeSummaries closes the acquisition summaries over the call graph:
+// afterwards acq[fn] holds everything a call to fn may acquire, in fn or
+// any (transitive) callee.
+func (la *lockAnalysis) closeSummaries() {
 	for changed := true; changed; {
 		changed = false
-		for fn := range la.callees {
-			var dst map[lockID]acqInfo
-			for _, callee := range la.callees[fn] {
-				for id, a := range trans[callee] {
-					if dst == nil {
-						dst = trans[fn]
-						if dst == nil {
-							dst = map[lockID]acqInfo{}
-							trans[fn] = dst
-						}
-					}
-					if prev, ok := dst[id]; !ok {
-						dst[id] = a
-						changed = true
-					} else if (a.w && !prev.w) || a.pos < prev.pos {
-						merged := acqInfo{w: prev.w || a.w, pos: prev.pos}
-						if a.pos < prev.pos {
-							merged.pos = a.pos
-						}
-						if merged != prev {
-							dst[id] = merged
-							changed = true
-						}
-					}
+		for fn, callees := range la.callees {
+			for _, callee := range callees {
+				for id, a := range la.acq[callee] {
+					changed = la.acquire(fn, id, a) || changed
 				}
 			}
 		}
 	}
-	return trans
 }
 
 // crossEdges turns each held call site into order edges (and
 // re-entrant acquisition findings) against the callee's transitive
 // acquisition summary.
-func (la *lockAnalysis) crossEdges(trans map[*types.Func]map[lockID]acqInfo) {
+func (la *lockAnalysis) crossEdges() {
 	for _, hc := range la.heldCalls {
-		acq := trans[hc.callee]
+		acq := la.acq[hc.callee]
 		if len(acq) == 0 {
 			continue
 		}
@@ -580,7 +547,7 @@ func (la *lockAnalysis) crossEdges(trans map[*types.Func]map[lockID]acqInfo) {
 					}
 					la.findings = append(la.findings, lockFinding{pos: hc.pos,
 						msg: fmt.Sprintf("call to %s while holding %s (locked at %s); %s acquires %s again at %s — re-entrant locking deadlocks",
-							hc.callee.Name(), h.id.name, la.posString(h.pos), hc.callee.Name(), id.name, la.posString(a.pos))})
+							hc.callee.Name(), h.id.name, posString(la.fset, h.pos), hc.callee.Name(), id.name, posString(la.fset, a.pos))})
 					continue
 				}
 				la.addEdge(h.id, h.pos, id, a.pos)
@@ -589,14 +556,35 @@ func (la *lockAnalysis) crossEdges(trans map[*types.Func]map[lockID]acqInfo) {
 	}
 }
 
-// cycleFindings finds strongly connected components of the order graph
-// and reports every edge inside one: each is an acquisition that, with
-// the rest of the component, forms a deadlock-capable cycle.
+// cycleFindings reports every edge of the order graph that lies on a
+// cycle — its target reaches its source again — naming the whole cycle
+// (every lock on a cycle through the edge's source) so a reader sees it
+// from any one report. Each such edge is an acquisition that, with the
+// rest of the cycle, can deadlock concurrent callers.
 func (la *lockAnalysis) cycleFindings() {
-	inCycle := sccLocks(la.edgeSet)
+	adj := map[lockID][]lockID{}
+	for key := range la.edgeSet {
+		adj[key[0]] = append(adj[key[0]], key[1])
+	}
+	// reach[a][b]: b is reachable from a along at least one edge.
+	reach := map[lockID]map[lockID]bool{}
+	for root := range adj {
+		seen := map[lockID]bool{}
+		var visit func(n lockID)
+		visit = func(n lockID) {
+			for _, m := range adj[n] {
+				if !seen[m] {
+					seen[m] = true
+					visit(m)
+				}
+			}
+		}
+		visit(root)
+		reach[root] = seen
+	}
 	var cyclic []lockEdge
 	for _, e := range la.edgeSet {
-		if inCycle[e.from] != 0 && inCycle[e.from] == inCycle[e.to] {
+		if reach[e.to][e.from] {
 			cyclic = append(cyclic, e)
 		}
 	}
@@ -607,98 +595,18 @@ func (la *lockAnalysis) cycleFindings() {
 		}
 		return a.from.name < b.from.name
 	})
-	// Name the full component in each message so a reader sees the
-	// whole cycle from any one report.
-	members := map[int][]string{}
-	for id, comp := range inCycle {
-		members[comp] = append(members[comp], id.name)
-	}
-	for comp := range members {
-		sort.Strings(members[comp])
-	}
 	for _, e := range cyclic {
-		comp := inCycle[e.from]
-		cycle := strings.Join(members[comp], " ⇄ ")
+		var members []string
+		for id := range reach[e.from] {
+			if reach[id][e.from] {
+				members = append(members, id.name)
+			}
+		}
+		sort.Strings(members)
 		la.findings = append(la.findings, lockFinding{pos: e.toPos,
 			msg: fmt.Sprintf("lock-order cycle: %s is acquired here while %s is held (locked at %s), but another path acquires them in the opposite order [cycle: %s]; concurrent callers deadlock",
-				e.to.name, e.from.name, la.posString(e.fromPos), cycle)})
+				e.to.name, e.from.name, posString(la.fset, e.fromPos), strings.Join(members, " ⇄ "))})
 	}
-}
-
-// sccLocks assigns each lock that sits on a cycle a non-zero component
-// id (Tarjan); locks in singleton components map to 0 unless they have
-// a self-loop (excluded earlier by addEdge).
-func sccLocks(edgeSet map[[2]lockID]lockEdge) map[lockID]int {
-	adj := map[lockID][]lockID{}
-	var nodes []lockID
-	seen := map[lockID]bool{}
-	addNode := func(id lockID) {
-		if !seen[id] {
-			seen[id] = true
-			nodes = append(nodes, id)
-		}
-	}
-	for key := range edgeSet {
-		addNode(key[0])
-		addNode(key[1])
-		adj[key[0]] = append(adj[key[0]], key[1])
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].name < nodes[j].name })
-	for _, n := range nodes {
-		succs := adj[n]
-		sort.Slice(succs, func(i, j int) bool { return succs[i].name < succs[j].name })
-	}
-
-	index := map[lockID]int{}
-	low := map[lockID]int{}
-	onStack := map[lockID]bool{}
-	var stack []lockID
-	comp := map[lockID]int{}
-	next, compID := 1, 0
-	var strongconnect func(v lockID)
-	strongconnect = func(v lockID) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if index[w] == 0 {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var size int
-			var popped []lockID
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				popped = append(popped, w)
-				size++
-				if w == v {
-					break
-				}
-			}
-			if size > 1 {
-				compID++
-				for _, w := range popped {
-					comp[w] = compID
-				}
-			}
-		}
-	}
-	for _, n := range nodes {
-		if index[n] == 0 {
-			strongconnect(n)
-		}
-	}
-	return comp
 }
 
 // syncLockCall classifies call as a sync.Mutex/RWMutex operation,
@@ -812,9 +720,4 @@ func shortPkg(path string) string {
 		return path[i+1:]
 	}
 	return path
-}
-
-func (la *lockAnalysis) posString(pos token.Pos) string {
-	p := la.fset.Position(pos)
-	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }

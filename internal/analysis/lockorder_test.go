@@ -1,6 +1,13 @@
 package analysis
 
-import "testing"
+import (
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"testing"
+)
 
 // TestLockOrderDoubleLock covers the re-acquisition findings: double
 // Lock, RLock-under-Lock, and the RLock→Lock upgrade, with nested read
@@ -300,4 +307,262 @@ func BA() {
 `},
 	})
 	wantDiags(t, got, []string{"a.go:16:lockorder"})
+}
+
+// TestLockOrderClosureUnits pins the "runs in place" classification
+// shared by the per-function summaries and the unit split: a closure
+// that is only stored, or launched through a variable with `go cl()`,
+// does not run on the declaring function's lock path, so calling that
+// function with the lock held is neither a re-entrant deadlock nor an
+// order edge.
+func TestLockOrderClosureUnits(t *testing.T) {
+	cases := map[string]string{
+		"stored closure": `package fix
+
+import "sync"
+
+type S struct {
+	mu sync.Mutex
+	cb func()
+}
+
+func (s *S) register() {
+	s.cb = func() {
+		s.mu.Lock()
+		s.mu.Unlock()
+	}
+}
+
+func (s *S) caller() {
+	s.mu.Lock()
+	s.register()
+	s.mu.Unlock()
+}
+`,
+		"go through a closure variable": `package fix
+
+import "sync"
+
+type T struct {
+	a, b sync.Mutex
+}
+
+func (t *T) spawn() {
+	cl := func() {
+		t.b.Lock()
+		t.b.Unlock()
+	}
+	go cl()
+}
+
+func (t *T) caller() {
+	t.b.Lock()
+	t.spawn()
+	t.b.Unlock()
+}
+`,
+	}
+	for name, src := range cases {
+		t.Run(name, func(t *testing.T) {
+			wantDiags(t, checkFixture(t, LockOrder, "fix", map[string]string{"a.go": src}), nil)
+		})
+	}
+}
+
+// TestMutexHygieneLockBalance covers lock/unlock pairing, which
+// lockorder's held-at-exit finding owns: a lock never released, released
+// on the wrong side (RLock paired with Unlock), or released only on an
+// unrelated receiver is reported at its acquisition; deferred, early and
+// closure releases balance.
+func TestMutexHygieneLockBalance(t *testing.T) {
+	cases := []struct {
+		name string
+		src  string
+		want []string
+	}{
+		{"lock with no unlock", `package x
+
+import "sync"
+
+type S struct{ mu sync.Mutex }
+
+func (s *S) Bad() {
+	s.mu.Lock()
+}
+`, []string{"a.go:8:lockorder"}},
+		{"deferred unlock balances", `package x
+
+import "sync"
+
+type S struct{ mu sync.Mutex }
+
+func (s *S) Good() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+}
+`, nil},
+		{"conditional early unlock balances (dnswire Close pattern)", `package x
+
+import "sync"
+
+type S struct {
+	mu     sync.Mutex
+	closed bool
+}
+
+func (s *S) Close() error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil
+	}
+	s.closed = true
+	s.mu.Unlock()
+	return nil
+}
+`, nil},
+		{"rlock needs runlock, not unlock", `package x
+
+import "sync"
+
+type S struct{ mu sync.RWMutex }
+
+func (s *S) Bad() {
+	s.mu.RLock()
+	s.mu.Unlock()
+}
+
+func (s *S) Good() {
+	s.mu.RLock()
+	s.mu.RUnlock()
+}
+`, []string{"a.go:8:lockorder"}},
+		{"different receivers tracked separately", `package x
+
+import "sync"
+
+type S struct{ a, b sync.Mutex }
+
+func (s *S) Bad() {
+	s.a.Lock()
+	s.b.Lock()
+	s.b.Unlock()
+}
+`, []string{"a.go:8:lockorder"}},
+		{"non-sync Lock method is not tracked", `package x
+
+type flock struct{}
+
+func (flock) Lock() {}
+
+func f(fl flock) {
+	fl.Lock()
+}
+`, nil},
+		{"unlock in deferred closure balances", `package x
+
+import "sync"
+
+type S struct{ mu sync.Mutex }
+
+func (s *S) Good() {
+	s.mu.Lock()
+	defer func() { s.mu.Unlock() }()
+}
+`, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			files := map[string]string{"a.go": tc.src}
+			wantDiags(t, checkFixture(t, LockOrder, "anycastcdn/internal/fixture", files), tc.want)
+		})
+	}
+}
+
+// TestMutexHygieneCopies pins the owner of the lock-copy invariant: a
+// value holding a sync lock must not be copied, or the original and the
+// copy silently stop excluding each other. `go vet`'s copylocks check,
+// which ci.sh runs over the module, enforces it; each case is vetted as
+// its own package of a scratch module and must be reported at exactly
+// the wanted lines (counted from the shared three-line header).
+func TestMutexHygieneCopies(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	const header = "package x\n\nimport \"sync\"\n"
+	cases := []struct {
+		name string
+		src  string
+		want []int
+	}{
+		{"mutex parameter by value", "func f(mu sync.Mutex) { _ = mu }", []int{4}},
+		{"pointer parameter is fine", "func f(mu *sync.Mutex) { _ = mu }", nil},
+		// parameter of use, parameter of f, assignment t := s, arg use(t)
+		{"struct containing a lock passed and assigned by value", `type S struct {
+	mu sync.Mutex
+	n  int
+}
+func use(S) {}
+func f(s S) {
+	t := s
+	use(t)
+}`, []int{8, 9, 10, 11}},
+		{"value receiver with embedded rwmutex", `type S struct{ sync.RWMutex }
+func (s S) Get() int { return 0 }`, []int{5}},
+		// the range value, and vet also flags its copy into _
+		{"range over lock-bearing slice values", `type S struct{ mu sync.Mutex }
+func f(ss []S) {
+	for _, s := range ss {
+		_ = s
+	}
+}`, []int{6, 7}},
+		{"constructing fresh values is fine", `type S struct {
+	mu sync.Mutex
+	n  int
+}
+func f() *S {
+	s := S{n: 1}
+	return &s
+}`, nil},
+		{"dereferenced return copies", `type S struct{ mu sync.Mutex }
+func get(p *S) S { return *p }`, []int{5}},
+	}
+	dir := t.TempDir()
+	write := func(name, body string) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module vetfixture\n\ngo 1.24\n")
+	for i, tc := range cases {
+		write(fmt.Sprintf("p%d/a.go", i), header+tc.src+"\n")
+	}
+	cmd := exec.Command(goTool, "vet", "-copylocks", "./...")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local", "GOFLAGS=", "GOWORK=off", "GOPROXY=off")
+	out, err := cmd.CombinedOutput()
+	got := map[int][]string{}
+	for _, m := range regexp.MustCompile(`p(\d+)/a\.go:(\d+):`).FindAllStringSubmatch(string(out), -1) {
+		var pkg int
+		fmt.Sscan(m[1], &pkg)
+		got[pkg] = append(got[pkg], m[2])
+	}
+	if len(got) == 0 {
+		t.Fatalf("go vet reported nothing (err %v):\n%s", err, out)
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []string
+			for _, line := range tc.want {
+				want = append(want, fmt.Sprint(line))
+			}
+			wantDiags(t, got[i], want)
+		})
+	}
 }

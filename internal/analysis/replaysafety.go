@@ -38,20 +38,24 @@ const commutativeDirective = "//replay:commutative"
 // keys instead, or justify with //replay:commutative. Integer
 // accumulation is exact and order-independent, so it is exempt.
 //
-// Module-wide, it walks the cross-package fact graph: any function
-// statically reachable from a RunWorld/StreamWorld root — in whatever
-// package — must not call time.Now or the global math/rand functions,
-// and must not write to package-level maps (shared mutable state the
-// parallel schedule could interleave differently between runs).
+// Module-wide, it walks the cross-package fact graph: any function on
+// the replay path — every function declared in a DeterministicPackages
+// package, a function named in ReplayRootNames, and everything those
+// reach, in whatever package — must not call time.Now or the global
+// math/rand functions, and must not write to package-level maps (shared
+// mutable state the parallel schedule could interleave differently
+// between runs). Package-level initializers in the deterministic
+// packages are held to the same rule.
 var ReplaySafety = &Analyzer{
 	Name: "replaysafety",
-	Doc:  "forbid order-dependent map iteration in replay-sensitive packages and nondeterminism reachable from RunWorld/StreamWorld",
+	Doc:  "forbid order-dependent map iteration in replay-sensitive packages and wall-clock, global-rand or global-map use on the replay path",
 	Run:  runReplaySafety,
 }
 
 func runReplaySafety(pass *Pass) {
 	commutative := collectCommutative(pass)
 	restricted := pathInList(pass.Pkg.Path, ReplaySensitive)
+	deterministic := pathInList(pass.Pkg.Path, DeterministicPackages)
 	for _, f := range pass.Pkg.Files {
 		if pass.InTestFile(f.Pos()) {
 			continue
@@ -59,7 +63,7 @@ func runReplaySafety(pass *Pass) {
 		if restricted {
 			checkMapRanges(pass, f, commutative)
 		}
-		checkReplayReachable(pass, f)
+		checkReplayReachable(pass, f, deterministic)
 	}
 }
 
@@ -191,44 +195,56 @@ func isAppendCall(info *types.Info, e ast.Expr) bool {
 	return ok && b.Name() == "append"
 }
 
-// checkReplayReachable walks every function in f that carries the
-// replay-sensitive fact (statically reachable from a RunWorld/StreamWorld
-// root, possibly across package boundaries) and flags wall-clock reads,
-// global randomness, and writes to package-level maps.
-func checkReplayReachable(pass *Pass, f *ast.File) {
-	if pass.Mod == nil {
-		return
-	}
+// randConstructors are the math/rand names that build explicitly seeded
+// generators and are therefore replay-safe.
+var randConstructors = map[string]bool{
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true, // math/rand/v2
+	"NewChaCha8": true,
+}
+
+// checkReplayReachable checks every function in f that is on the replay
+// path — a replay root, or reachable from one across any package
+// boundary — and, in a deterministic package, every package-level
+// variable initializer.
+func checkReplayReachable(pass *Pass, f *ast.File, deterministic bool) {
 	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			obj, ok := pass.Pkg.Info.Defs[d.Name].(*types.Func)
+			if ok && d.Body != nil && pass.Mod.ReplayReachable(obj) {
+				checkReplayBody(pass, d.Body, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			if deterministic && d.Tok == token.VAR {
+				checkReplayBody(pass, d, "a package-level initializer")
+			}
 		}
-		obj, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-		if !ok || !pass.Mod.ReplayReachable(obj) {
-			continue
-		}
-		checkReachableBody(pass, fd)
 	}
 }
 
-func checkReachableBody(pass *Pass, fd *ast.FuncDecl) {
+// checkReplayBody flags wall-clock reads, global randomness, and writes
+// to package-level maps (shared mutable state the parallel schedule
+// could interleave differently between runs) inside body.
+func checkReplayBody(pass *Pass, body ast.Node, where string) {
 	info := pass.Pkg.Info
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 				if pn := pass.PkgNameOf(sel); pn != nil &&
 					pn.Imported().Path() == "time" && sel.Sel.Name == "Now" {
 					pass.Reportf(n.Pos(),
-						"time.Now() in %s is reachable from a RunWorld/StreamWorld replay root; inject a clock", fd.Name.Name)
+						"time.Now() in %s, which is on the replay path, breaks replay; inject a clock (now func() time.Time)", where)
 				}
 			}
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
 				if b, ok := info.Uses[id].(*types.Builtin); ok && (b.Name() == "delete" || b.Name() == "clear") && len(n.Args) > 0 {
 					if v := packageLevelMap(info, n.Args[0]); v != nil {
 						pass.Reportf(n.Pos(),
-							"%s of package-level map %s in %s, which is reachable from a RunWorld/StreamWorld replay root; replay-sensitive state must be run-local", b.Name(), v.Name(), fd.Name.Name)
+							"%s of package-level map %s in %s, which is on the replay path; replay-sensitive state must be run-local", b.Name(), v.Name(), where)
 					}
 				}
 			}
@@ -241,9 +257,12 @@ func checkReachableBody(pass *Pass, fd *ast.FuncDecl) {
 			if p != "math/rand" && p != "math/rand/v2" {
 				return true
 			}
+			// Types (rand.Rand, rand.Source, …) and seeded constructors
+			// are fine; package-level functions draw from the shared
+			// global source and are not.
 			if _, isFunc := info.Uses[n.Sel].(*types.Func); isFunc && !randConstructors[n.Sel.Name] {
 				pass.Reportf(n.Pos(),
-					"global %s.%s in %s is reachable from a RunWorld/StreamWorld replay root; use an injected xrand substream", p, n.Sel.Name, fd.Name.Name)
+					"global %s.%s in %s, which is on the replay path, differs across runs; use an injected xrand substream", p, n.Sel.Name, where)
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
@@ -253,7 +272,7 @@ func checkReachableBody(pass *Pass, fd *ast.FuncDecl) {
 				}
 				if v := packageLevelMap(info, idx.X); v != nil {
 					pass.Reportf(lhs.Pos(),
-						"write to package-level map %s in %s, which is reachable from a RunWorld/StreamWorld replay root; replay-sensitive state must be run-local", v.Name(), fd.Name.Name)
+						"write to package-level map %s in %s, which is on the replay path; replay-sensitive state must be run-local", v.Name(), where)
 				}
 			}
 		}

@@ -208,3 +208,140 @@ func StreamWorld() {
 	})
 	wantDiags(t, got, nil)
 }
+
+// TestNondeterminism covers the determinism invariant in the packages
+// listed in DeterministicPackages: every function declared there is a
+// replay root, so wall-clock reads and global math/rand draws are
+// reported even where no named root (RunWorld, StreamWorld, …) reaches
+// them — a report method like Suite.Figure1 is held to replay safety.
+func TestNondeterminism(t *testing.T) {
+	cases := []struct {
+		name  string
+		path  string
+		files map[string]string
+		want  []string
+	}{
+		{
+			name: "global rand and bare time.Now in sim",
+			path: "anycastcdn/internal/sim",
+			files: map[string]string{"a.go": `package sim
+
+import (
+	"math/rand"
+	"time"
+)
+
+func Draw() int { return rand.Intn(10) }
+
+func Stamp() time.Time { return time.Now() }
+`},
+			want: []string{"a.go:8:replaysafety", "a.go:10:replaysafety"},
+		},
+		{
+			name: "unreached report method in a deterministic package",
+			path: "anycastcdn/internal/experiments",
+			files: map[string]string{"a.go": `package experiments
+
+import "time"
+
+type Suite struct{}
+
+func RunWorld() {}
+
+func (s *Suite) Figure1() string {
+	_ = time.Now() // no named root calls Figure1
+	return ""
+}
+
+var started = time.Now()
+`},
+			want: []string{"a.go:10:replaysafety", "a.go:14:replaysafety"},
+		},
+		{
+			name: "seeded constructors and injected clocks are fine",
+			path: "anycastcdn/internal/core",
+			files: map[string]string{"a.go": `package core
+
+import (
+	"math/rand"
+	"time"
+)
+
+type M struct {
+	rng *rand.Rand
+	now func() time.Time
+}
+
+func New(seed int64) *M {
+	return &M{rng: rand.New(rand.NewSource(seed)), now: time.Now}
+}
+
+func (m *M) Draw() int { return m.rng.Intn(10) }
+`},
+			want: nil,
+		},
+		{
+			name: "renamed import is still caught",
+			path: "anycastcdn/internal/experiments",
+			files: map[string]string{"a.go": `package experiments
+
+import mrand "math/rand"
+
+func Draw() float64 { return mrand.Float64() }
+`},
+			want: []string{"a.go:5:replaysafety"},
+		},
+		{
+			name: "unrestricted package may use wall clocks",
+			path: "anycastcdn/internal/stats",
+			files: map[string]string{"a.go": `package stats
+
+import "time"
+
+func Stamp() time.Time { return time.Now() }
+`},
+			want: nil,
+		},
+		{
+			name: "test files are exempt",
+			path: "anycastcdn/internal/sim",
+			files: map[string]string{"a_test.go": `package sim
+
+import "time"
+
+func stamp() time.Time { return time.Now() }
+`},
+			want: nil,
+		},
+		{
+			name: "lint ignore suppresses with justification",
+			path: "anycastcdn/internal/clients",
+			files: map[string]string{"a.go": `package clients
+
+import "time"
+
+func Stamp() time.Time {
+	//lint:ignore replaysafety wall time feeds a log label, not an experiment output
+	return time.Now()
+}
+`},
+			want: nil,
+		},
+		{
+			name: "subpackage of a restricted package is restricted",
+			path: "anycastcdn/internal/sim/replay",
+			files: map[string]string{"a.go": `package replay
+
+import "math/rand"
+
+func Draw() int { return rand.Int() }
+`},
+			want: []string{"a.go:5:replaysafety"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wantDiags(t, checkFixture(t, ReplaySafety, tc.path, tc.files), tc.want)
+		})
+	}
+}

@@ -124,8 +124,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // RunModule applies analyzers to pkgs with facts drawn from mod, running
-// every (package, analyzer) pair as its own parallel task. pkgs may be a
-// subset of mod.Pkgs — facts still reflect the whole module, so a
+// every (package, analyzer) pair as its own parallel task. pkgs must be
+// mod.Pkgs or a subset of it — facts still reflect the whole module, so a
 // cross-package property (replay reachability into a package outside the
 // selection) is never lost by narrowing the report scope. Diagnostics
 // are deterministic: tasks write to indexed slots and the merged result
@@ -186,15 +186,8 @@ func RunModule(mod *Module, pkgs []*Package, analyzers []*Analyzer) ([]Diagnosti
 			}
 		}
 	}
-	inModule := make(map[*Package]bool, len(mod.Pkgs))
 	for _, pkg := range mod.Pkgs {
-		inModule[pkg] = true
 		mergeIgnores(pkg)
-	}
-	for _, pkg := range pkgs {
-		if !inModule[pkg] {
-			mergeIgnores(pkg)
-		}
 	}
 
 	for i := range slots {

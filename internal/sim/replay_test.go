@@ -7,7 +7,7 @@ import (
 	"anycastcdn/internal/testutil"
 )
 
-// TestReplayIdentical is the invariant the nondeterminism analyzer
+// TestReplayIdentical is the invariant the replaysafety analyzer
 // (internal/analysis) exists to protect: two runs with the same seed must
 // be bit-for-bit identical — beacons, passive logs, and day-by-day anycast
 // assignments — regardless of the parallel worker schedule.
